@@ -355,10 +355,10 @@ def flatten_pixels(fs: PixelFeatureSet,
     if fs is None or fs.n_pixels == 0:
         raise EmptyFeatureSetError("cannot flatten an empty feature set")
     n_total = fs.n_pixels
-    feats = fs.features.reshape(n_total, fs.channels).astype(np.float64)
-    labels = fs.aligned_labels.masks.reshape(n_total).astype(np.int64)
-    if n_total <= sampler.max_pixels:
-        return feats, labels
-    idx = np.asarray(subsample_indices(n_total, sampler.max_pixels,
-                                       sampler.seed), dtype=np.int64)
-    return feats[idx], labels[idx]
+    feats = fs.features.reshape(n_total, fs.channels)
+    labels = fs.aligned_labels.masks.reshape(n_total)
+    if n_total > sampler.max_pixels:
+        idx = np.asarray(subsample_indices(n_total, sampler.max_pixels,
+                                           sampler.seed), dtype=np.int64)
+        feats, labels = feats[idx], labels[idx]
+    return feats.astype(np.float64), labels.astype(np.int64)

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import PixelFeatureSet
-from .errors import DegenerateInputError, NonFiniteFeatureError, ShapeMismatchError
+from .errors import (
+    DegenerateInputError,
+    InvalidSpecError,
+    NonFiniteFeatureError,
+    ShapeMismatchError,
+)
 
 
 @dataclass(frozen=True)
@@ -27,9 +32,9 @@ class HScoreParams:
 
     def __post_init__(self):
         if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+            raise InvalidSpecError("ridge must be >= 0")
         if self.min_samples_per_pixel < 2:
-            raise ValueError("min_samples_per_pixel must be >= 2")
+            raise InvalidSpecError("min_samples_per_pixel must be >= 2")
 
     def to_dict(self) -> dict:
         return {"ridge": self.ridge,

@@ -16,6 +16,7 @@ import numpy as np
 from .bundle import PixelFeatureSet, SubsampleSpec, flatten_pixels
 from .errors import (
     DimensionMismatchError,
+    InvalidSpecError,
     LengthMismatchError,
     NonFiniteCostError,
 )
@@ -26,22 +27,18 @@ class SinkhornParams:
     epsilon: float = 0.1
     max_iters: int = 1000
     marginal_tol: float = 1e-9
-    log_domain: bool = True
-    normalize_cost: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+            raise InvalidSpecError("epsilon must be > 0")
         if self.marginal_tol <= 0:
-            raise ValueError("marginal_tol must be > 0")
+            raise InvalidSpecError("marginal_tol must be > 0")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise InvalidSpecError("max_iters must be >= 1")
 
     def to_dict(self) -> dict:
         return {"epsilon": self.epsilon, "max_iters": self.max_iters,
-                "marginal_tol": self.marginal_tol,
-                "log_domain": self.log_domain,
-                "normalize_cost": self.normalize_cost}
+                "marginal_tol": self.marginal_tol}
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,11 @@ def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return np.maximum(cost, 0.0)
 
 
+# Scalings are folded into the log potentials once either leaves
+# [exp(-30), exp(30)], long before float64 overflows or K @ v underflows.
+_ABSORB_LOG = 30.0
+
+
 def sinkhorn(cost: np.ndarray,
              params: SinkhornParams = SinkhornParams()) -> TransportPlan:
     """Entropic OT with uniform marginals by alternating marginal scaling.
@@ -95,16 +97,20 @@ def sinkhorn(cost: np.ndarray,
     Parameters
     ----------
     cost : ndarray [N_s, N_t]
-        Finite ground costs.
+        Finite ground costs, used as given (no normalization).
     params : SinkhornParams
-        ``epsilon`` weights the entropy term; iterations run in the log
-        domain by default, which stays stable for small epsilon on raw
-        squared-distance costs.
+        ``epsilon`` weights the entropy term.
 
-    Iterations stop once the exponentiated plan's worst marginal violation
-    drops to ``marginal_tol`` or at ``max_iters``.  Non-convergence is not
-    an error: the plan is returned with its residual in
-    ``final_marginal_error`` and callers decide.
+    One log-domain sweep sets the potentials ``f``, ``g``; every later sweep
+    is two mat-vecs with the stabilised kernel ``K = exp(-C/eps + f + g)``,
+    and the plan is ``u * K * v``.  Drifting scalings are absorbed into the
+    potentials (Schmitzer 2019), so small epsilon neither overflows nor
+    underflows.
+
+    Iterations stop once the plan's worst row-marginal violation (columns
+    are exact after each sweep) drops to ``marginal_tol`` or at
+    ``max_iters``.  Non-convergence is not an error: the plan is returned
+    with its residual in ``final_marginal_error`` and callers decide.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
@@ -115,15 +121,34 @@ def sinkhorn(cost: np.ndarray,
     n_s, n_t = cost.shape
     a = np.full(n_s, 1.0 / n_s)
     b = np.full(n_t, 1.0 / n_t)
+    neg_cost = -cost / params.epsilon
 
-    if params.log_domain:
-        plan, iters = _sinkhorn_log(cost, a, b, params)
-    else:
-        plan, iters = _sinkhorn_scaling(cost, a, b, params)
+    f = np.log(a) - _lse(neg_cost, axis=1)
+    g = np.log(b) - _lse(neg_cost + f[:, None], axis=0)
+    kernel = np.exp(neg_cost + f[:, None] + g[None, :])
+    u = np.ones(n_s)
+    v = np.ones(n_t)
+    sweeps = 1
+    while sweeps < params.max_iters:
+        kv = kernel @ v
+        if np.abs(u * kv - a).max() <= params.marginal_tol:
+            break
+        u = a / kv
+        v = b / (kernel.T @ u)
+        sweeps += 1
+        if max(np.abs(np.log(u)).max(), np.abs(np.log(v)).max()) > _ABSORB_LOG:
+            f += np.log(u)
+            g += np.log(v)
+            kernel = np.exp(neg_cost + f[:, None] + g[None, :])
+            u = np.ones(n_s)
+            v = np.ones(n_t)
 
+    plan = kernel
+    plan *= u[:, None]
+    plan *= v[None, :]
     err = _marginal_error(plan, a, b)
     return TransportPlan(coupling=plan, row_marginal=a, col_marginal=b,
-                         iterations_used=iters, final_marginal_error=float(err))
+                         iterations_used=sweeps, final_marginal_error=float(err))
 
 
 def _marginal_error(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -139,44 +164,6 @@ def _lse(mat: np.ndarray, axis: int) -> np.ndarray:
     else:
         shifted = mat - peak[None, :]
     return np.log(np.exp(shifted).sum(axis=axis)) + peak
-
-
-def _sinkhorn_log(cost, a, b, params):
-    # potentials are kept pre-divided by epsilon: plan = exp(-C/eps + f + g)
-    log_a = np.log(a)
-    log_b = np.log(b)
-    neg_cost = -cost / params.epsilon
-    f = np.zeros(len(a))
-    g = np.zeros(len(b))
-    sweeps = 0
-    while sweeps < params.max_iters:
-        lse_rows = _lse(neg_cost + g[None, :], axis=1)
-        if sweeps > 0:
-            # rows of the current plan sum to exp(f + lse_rows); columns are
-            # exact after the preceding g update, so this is the violation
-            row_err = np.abs(np.exp(f + lse_rows) - a).max()
-            if row_err <= params.marginal_tol:
-                break
-        f = log_a - lse_rows
-        g = log_b - _lse(neg_cost + f[:, None], axis=0)
-        sweeps += 1
-    return np.exp(neg_cost + f[:, None] + g[None, :]), sweeps
-
-
-def _sinkhorn_scaling(cost, a, b, params):
-    # naive kernel-domain variant; underflows for small epsilon on large costs
-    kernel = np.exp(-cost / params.epsilon)
-    u = np.ones(len(a))
-    v = np.ones(len(b))
-    plan = kernel
-    iters = 0
-    for iters in range(1, params.max_iters + 1):
-        u = a / (kernel @ v)
-        v = b / (kernel.T @ u)
-        plan = u[:, None] * kernel * v[None, :]
-        if _marginal_error(plan, a, b) <= params.marginal_tol:
-            break
-    return plan, iters
 
 
 def joint_label_distribution(plan: TransportPlan,
@@ -195,8 +182,9 @@ def joint_label_distribution(plan: TransportPlan,
 
     src_classes, src_idx = np.unique(src_labels, return_inverse=True)
     tgt_classes, tgt_idx = np.unique(tgt_labels, return_inverse=True)
-    table = np.zeros((len(src_classes), len(tgt_classes)))
-    np.add.at(table, (src_idx[:, None], tgt_idx[None, :]), plan.coupling)
+    onehot_s = np.eye(len(src_classes))[src_idx]
+    onehot_t = np.eye(len(tgt_classes))[tgt_idx]
+    table = onehot_s.T @ (plan.coupling @ onehot_t)
     return JointLabelDistribution(table=table, source_classes=src_classes,
                                   target_classes=tgt_classes)
 
@@ -230,10 +218,6 @@ def otce(source: PixelFeatureSet, target: PixelFeatureSet,
     tgt_feats, tgt_labels = flatten_pixels(target, sampler)
 
     cost = cost_matrix(src_feats, tgt_feats)
-    if params.normalize_cost:
-        peak = cost.max()
-        if peak > 0:
-            cost = cost / peak
     plan = sinkhorn(cost, params)
     joint = joint_label_distribution(plan, src_labels, tgt_labels)
     score = otce_from_joint(joint)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bundle import LabelMaskSet, SubsampleSpec, TaskBundle, TaskDescriptor
 from .errors import (
+    InvalidSpecError,
     MissingFeaturesError,
     MissingLabelsError,
     NoCompatibleSourceError,
@@ -76,9 +77,9 @@ class SelectionConfig:
 
     def __post_init__(self):
         if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+            raise InvalidSpecError("top_k must be >= 1")
         if self.roi_keep_classes < 1:
-            raise ValueError("roi_keep_classes must be >= 1")
+            raise InvalidSpecError("roi_keep_classes must be >= 1")
 
     def to_dict(self) -> dict:
         return {

@@ -1,11 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive: scalar loops and direct formula
-transcription.  These functions must stay independent of the library code
-paths they are used to check.
+transcription (plain numpy only where log-domain arithmetic is the point).
+These functions must stay independent of the library code paths they are
+used to check.
 """
 
 import math
+
+import numpy as np
 
 
 def ssim_reference(x, y, k1=0.01, k2=0.03, dynamic_range=1.0):
@@ -117,6 +120,21 @@ def sinkhorn_reference(cost, epsilon, tol=1e-14, max_iters=500000):
             break
     return [[u[i] * kernel[i][j] * v[j] for j in range(n_t)]
             for i in range(n_s)]
+
+
+def sinkhorn_log_reference(cost, epsilon, tol=1e-14, max_iters=100000):
+    """Alternating log-sum-exp potential updates; never forms exp(-C/eps)."""
+    neg_cost = -np.asarray(cost, dtype=np.float64) / epsilon
+    n_s, n_t = neg_cost.shape
+    f = np.zeros(n_s)
+    g = np.zeros(n_t)
+    for _ in range(max_iters):
+        f = -math.log(n_s) - np.logaddexp.reduce(neg_cost + g[None, :], axis=1)
+        g = -math.log(n_t) - np.logaddexp.reduce(neg_cost + f[:, None], axis=0)
+        plan = np.exp(neg_cost + f[:, None] + g[None, :])
+        if np.abs(plan.sum(axis=1) - 1.0 / n_s).max() <= tol:
+            break
+    return plan
 
 
 def joint_reference(plan, src_labels, tgt_labels):

@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import xfersel
 from xfersel import fixtures
 from xfersel.bundle import write_bundle
 from xfersel.cli import main
@@ -139,6 +144,20 @@ class TestSelectCmd:
                            "--scores-file", str(scores_csv))
         assert code == 0
         assert "1,NCR-13-T2,10.524700" in out
+
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "0"),
+                                            ("--ridge", "-1"),
+                                            ("--top-k", "0")])
+    def test_invalid_parameter_exit_2(self, tmp_path, capsys, flag, value):
+        pool_dir, target_dir, _ = write_pool(tmp_path)
+        code, out, err = run(capsys, "select",
+                             "--target", str(target_dir),
+                             "--sources", str(pool_dir),
+                             "--metric", "otce", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ERROR InvalidSpec: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_fallback_all_keeps_whole_pool(self, tmp_path, capsys):
         t1_sources = [make_bundle(f"ED-{i}-T1", seed=i) for i in range(2)]
@@ -304,6 +323,14 @@ class TestGlobalFlags:
                            "--target", str(tmp_path / "b"))
         assert code == 0
         assert out_file.read_text() == out
+
+    def test_python_dash_m_runs_cli(self):
+        src_dir = str(Path(xfersel.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-m", "xfersel", "--help"],
+                                capture_output=True, text=True,
+                                env={"PYTHONPATH": src_dir})
+        assert result.returncode == 0
+        assert "roi-sim" in result.stdout
 
     def test_entry_point_installed(self, tmp_path):
         import subprocess

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from oracles import (
     cost_reference,
     joint_reference,
     otce_reference,
+    sinkhorn_log_reference,
     sinkhorn_reference,
 )
 
@@ -90,12 +93,44 @@ class TestSinkhorn:
             plan = sinkhorn(cost, SinkhornParams(epsilon=0.1))
             assert np.abs(plan.coupling - expected).max() <= 1e-8
 
-    def test_scaling_domain_agrees_on_mild_costs(self):
+    def test_matches_scalar_fixed_point_mild_costs(self):
         rng = np.random.Generator(np.random.Philox(23))
         cost = rng.random((5, 5))
-        log_plan = sinkhorn(cost, SinkhornParams(epsilon=0.5))
-        lin_plan = sinkhorn(cost, SinkhornParams(epsilon=0.5, log_domain=False))
-        assert np.abs(log_plan.coupling - lin_plan.coupling).max() <= 1e-9
+        expected = np.array(sinkhorn_reference(cost.tolist(), 0.5))
+        plan = sinkhorn(cost, SinkhornParams(epsilon=0.5))
+        assert np.abs(plan.coupling - expected).max() <= 1e-9
+
+    def test_costs_where_plain_kernel_underflows(self):
+        # two well-separated clusters of equal mass: within-cluster costs are
+        # small, cross-cluster costs reach C/eps > 1000
+        rng = np.random.Generator(np.random.Philox(36))
+        src = np.concatenate([rng.random((3, 2)), rng.random((3, 2)) + 10.0])
+        tgt = np.concatenate([rng.random((4, 2)), rng.random((4, 2)) + 10.0])
+        cost = cost_matrix(src, tgt)
+        assert cost.max() / 0.1 > 1000
+        assert (np.exp(-cost / 0.1) == 0.0).any()
+        plan = sinkhorn(cost, SinkhornParams(epsilon=0.1))
+        coupling = plan.coupling
+        assert np.isfinite(coupling).all()
+        assert plan.final_marginal_error <= 1e-9
+        assert np.abs(coupling.sum(axis=1) - 1 / 6).max() <= 1e-9
+        assert np.abs(coupling.sum(axis=0) - 1 / 8).max() <= 1e-9
+        expected = sinkhorn_log_reference(cost, 0.1)
+        assert np.abs(coupling - expected).max() <= 1e-9
+
+    def test_absorption_leaves_plan_unchanged(self, monkeypatch):
+        # a tiny threshold folds the scalings into the potentials almost
+        # every sweep; the plan and the sweep count must not notice
+        otce_module = importlib.import_module("xfersel.otce")
+        rng = np.random.Generator(np.random.Philox(37))
+        for _ in range(5):
+            cost = rng.random((6, 9))
+            base = sinkhorn(cost, SinkhornParams(epsilon=0.02))
+            with monkeypatch.context() as m:
+                m.setattr(otce_module, "_ABSORB_LOG", 0.5)
+                absorbed = sinkhorn(cost, SinkhornParams(epsilon=0.02))
+            assert absorbed.iterations_used == base.iterations_used
+            assert np.abs(absorbed.coupling - base.coupling).max() <= 1e-12
 
     def test_feasibility_on_random_costs(self):
         rng = np.random.Generator(np.random.Philox(24))
@@ -163,6 +198,22 @@ class TestJointDistribution:
             for j, yt in enumerate(joint.target_classes):
                 assert joint.table[i, j] == pytest.approx(
                     ref.get((ys, yt), 0.0), abs=1e-12)
+
+    def test_matches_scatter_add_many_classes(self):
+        rng = np.random.Generator(np.random.Philox(38))
+        coupling = rng.random((40, 30))
+        coupling /= coupling.sum()
+        src_labels = rng.choice([0, 2, 5], 40)
+        tgt_labels = rng.choice([1, 3, 4, 7], 30)
+        joint = joint_label_distribution(self.plan_of(coupling),
+                                         src_labels, tgt_labels)
+        _, src_idx = np.unique(src_labels, return_inverse=True)
+        _, tgt_idx = np.unique(tgt_labels, return_inverse=True)
+        expected = np.zeros((3, 4))
+        np.add.at(expected, (src_idx[:, None], tgt_idx[None, :]), coupling)
+        np.testing.assert_array_equal(joint.source_classes, [0, 2, 5])
+        np.testing.assert_array_equal(joint.target_classes, [1, 3, 4, 7])
+        assert np.abs(joint.table - expected).max() <= 1e-12
 
     def test_length_mismatch(self):
         plan = self.plan_of([[0.5, 0.5]])
