@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bundle import SubsampleSpec, TaskBundle, load_bundle, write_bundle
@@ -30,10 +29,12 @@ from .fixtures import read_scores_csv
 from .hscore import HScoreParams, hscore_segmentation
 from .otce import SinkhornParams, otce
 from .pipeline import (
+    HScoreFeatures,
     Metric,
     NoMatchPolicy,
     SelectionConfig,
     SelectionPath,
+    map_sources,
     select,
 )
 from .ranking import (
@@ -65,22 +66,25 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(args, config: dict, rows: list[tuple[str, object]]) -> str:
-    """Render the command result per --format and honor --output."""
+def _emit(args, config: dict, result: dict,
+          lines: list[str] | None = None) -> None:
+    """Print the command's document per --format; --output gets a copy.
+
+    json prints ``{"config", "result"}``; csv prints a ``# config:`` line,
+    then ``lines``, by default one ``key,value`` line per result entry.
+    ``select`` writes its --output directory itself.
+    """
     if args.format == "json":
-        doc = {"config": config, "result": _round_floats(dict(rows))}
+        doc = {"config": config, "result": _round_floats(result)}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        lines = ["# config: " + json.dumps(config, sort_keys=True)]
-        lines += [f"{key},{_fmt(val)}" for key, val in rows]
-        text = "\n".join(lines) + "\n"
+        if lines is None:
+            lines = [f"{key},{_fmt(val)}" for key, val in result.items()]
+        text = "\n".join(["# config: " + json.dumps(config, sort_keys=True),
+                          *lines]) + "\n"
     sys.stdout.write(text)
-    if args.output:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise IoFailureError(str(exc)) from exc
-    return text
+    if args.output and args.command != "select":
+        Path(args.output).write_text(text, encoding="utf-8")
 
 
 def _load_source_bundles(sources_dir: str) -> list[TaskBundle]:
@@ -109,12 +113,9 @@ def cmd_roi_sim(args) -> int:
     config = {"command": "roi-sim", "source": str(args.source),
               "target": str(args.target), "mode": mode.value,
               "pairs": args.pairs, "seed": args.seed}
-    _emit(args, config, [
-        ("roi_sim", report.score),
-        ("n_pairs", report.n_pairs),
-        ("source", report.source_id),
-        ("target", report.target_id),
-    ])
+    _emit(args, config, {"roi_sim": report.score, "n_pairs": report.n_pairs,
+                         "source": report.source_id,
+                         "target": report.target_id})
     return 0
 
 
@@ -131,10 +132,10 @@ def cmd_score(args) -> int:
             raise MissingFeaturesError("otce needs features on both bundles")
         rep = otce(source.features, target.features, sampler,
                    SinkhornParams(epsilon=args.epsilon))
-        rows = [("otce", rep.score), ("ot_cost", rep.ot_cost),
-                ("sinkhorn_iterations", rep.iterations_used),
-                ("sinkhorn_residual", rep.final_marginal_error),
-                ("source", rep.source_id), ("target", rep.target_id)]
+        result = {"otce": rep.score, "ot_cost": rep.ot_cost,
+                  "sinkhorn_iterations": rep.iterations_used,
+                  "sinkhorn_residual": rep.final_marginal_error,
+                  "source": rep.source_id, "target": rep.target_id}
     else:
         # the target bundle must carry the source model's feature export;
         # the source bundle only cross-checks the channel count
@@ -148,9 +149,9 @@ def cmd_score(args) -> int:
         rep = hscore_segmentation(target.features, HScoreParams(ridge=args.ridge),
                                   source_id=source.task_id,
                                   target_id=target.task_id)
-        rows = [("hscore", rep.score), ("skipped_pixels", rep.skipped_pixels),
-                ("source", rep.source_id), ("target", rep.target_id)]
-    _emit(args, config, rows)
+        result = {"hscore": rep.score, "skipped_pixels": rep.skipped_pixels,
+                  "source": rep.source_id, "target": rep.target_id}
+    _emit(args, config, result)
     return 0
 
 
@@ -185,40 +186,19 @@ def cmd_select(args) -> int:
 
     config = {"command": "select", "target": str(args.target),
               "sources": str(args.sources), "seed": args.seed,
-              "scores_file": str(args.scores_file) if args.scores_file else None}
-    config.update({k: v for k, v in report.config.to_dict().items()
-                   if k != "threads"})
-    rows = [(str(rank), f"{task_id},{_fmt(score)}")
-            for rank, (task_id, score)
-            in enumerate(report.final_ranking.entries[:args.top_k], 1)]
-    if args.format == "json":
-        doc = {"config": config,
-               "result": _round_floats({
-                   "top_k": [
-                       {"rank": r, "task_id": t, "score": s}
-                       for r, (t, s) in enumerate(
-                           report.final_ranking.entries[:args.top_k], 1)],
-                   "subset1": list(report.subset1),
-                   "subset2": list(report.subset2),
-               })}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = ["# config: " + json.dumps(config, sort_keys=True)]
-        lines += [f"{r},{payload}" for r, payload in rows]
-        text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-
+              "scores_file": str(args.scores_file) if args.scores_file else None,
+              **report.config.to_dict()}
+    shown = list(enumerate(report.final_ranking.entries[:args.top_k], 1))
+    _emit(args, config,
+          {"top_k": [{"rank": r, "task_id": t, "score": s}
+                     for r, (t, s) in shown],
+           "subset1": list(report.subset1),
+           "subset2": list(report.subset2)},
+          [f"{r},{t},{_fmt(s)}" for r, (t, s) in shown])
     if args.output:
         out = Path(args.output)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailureError(str(exc)) from exc
-        report_dict = report.to_dict()
-        report_dict["config"].pop("threads", None)
-        (out / "report.json").write_text(
-            json.dumps(report_dict, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         write_ranking_csv(report.final_ranking, out / "ranking.csv")
     return 0
 
@@ -233,19 +213,20 @@ def cmd_footrule(args) -> int:
     config = {"command": "footrule", "pred": str(args.pred),
               "truth": str(args.truth),
               "top_k": args.top_k if args.top_k is not None else "full"}
-    _emit(args, config, [("footrule", report.distance), ("k", report.k)])
+    _emit(args, config, {"footrule": report.distance, "k": report.k})
     return 0
 
 
 def cmd_synth(args) -> int:
     spec_dict = {}
     if args.spec:
+        text = Path(args.spec).read_text(encoding="utf-8")
         try:
-            spec_dict = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise IoFailureError(str(exc)) from exc
+            spec_dict = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidSpecError(f"{args.spec}: {exc}") from exc
+        if not isinstance(spec_dict, dict):
+            raise InvalidSpecError(f"{args.spec}: expected a JSON object")
     spec_dict.setdefault("seed", args.seed)
     spec = SynthSpec.from_dict(spec_dict)
     bundles = generate_tasks(spec)
@@ -253,9 +234,9 @@ def cmd_synth(args) -> int:
     for b in bundles:
         write_bundle(b, out / b.task_id)
     config = {"command": "synth", "out": str(args.out), "spec": spec.to_dict()}
-    rows = [("created", len(bundles))]
-    rows += [("task", b.task_id) for b in bundles]
-    _emit(args, config, rows)
+    _emit(args, config,
+          {"created": len(bundles), "tasks": [b.task_id for b in bundles]},
+          [f"created,{len(bundles)}"] + [f"task,{b.task_id}" for b in bundles])
     return 0
 
 
@@ -265,69 +246,44 @@ def cmd_synth_eval(args) -> int:
     if args.target not in by_id:
         raise UnknownTaskError(f"{args.target} not found under {args.dir}")
     target = by_id[args.target]
-    sources = [b for b in bundles if b.task_id != args.target]
-    sampler = SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed)
-
-    def metric_score(b: TaskBundle) -> float:
-        if b.features is None or target.features is None:
-            raise MissingFeaturesError(b.task_id)
-        if args.metric == "otce":
-            return otce(b.features, target.features, sampler,
-                        SinkhornParams()).score
-        # shared-extractor mode: each source's own export carries its signal
-        return hscore_segmentation(b.features).score
-
-    def probe_score(b: TaskBundle) -> float:
-        return probe_transfer(b, target, seed=args.seed).accuracy
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            metric_scores = list(pool.map(metric_score, sources))
-            probe_scores = list(pool.map(probe_score, sources))
-    else:
-        metric_scores = [metric_score(b) for b in sources]
-        probe_scores = [probe_score(b) for b in sources]
-
-    metric_rank = build_ranking([(b.task_id, s)
-                                 for b, s in zip(sources, metric_scores)])
-    probe_rank = build_ranking([(b.task_id, s)
-                                for b, s in zip(sources, probe_scores)])
+    if target.features is None:
+        raise MissingFeaturesError(
+            f"synth-eval needs features on {target.task_id}")
+    # shared-extractor mode: each source's own export carries its signal
+    cfg = SelectionConfig(
+        path=SelectionPath.BASELINE, metric=Metric(args.metric),
+        hscore_features=HScoreFeatures.SOURCE,
+        sampler=SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed),
+        threads=args.threads)
+    report = select(bundles, target, cfg)
+    metric_rank = report.final_ranking
+    sources = [by_id[t] for t in report.subset2]
+    accuracies = map_sources(
+        lambda b: probe_transfer(b, target, seed=args.seed).accuracy,
+        sources, args.threads)
+    probe_rank = build_ranking([(b.task_id, a)
+                                for b, a in zip(sources, accuracies)])
+    probe_acc = dict(probe_rank.entries)
 
     config = {"command": "synth-eval", "dir": str(args.dir),
               "target": args.target, "metric": args.metric,
               "max_pixels": args.max_pixels, "seed": args.seed}
-    rows = []
-    for rank, (task_id, score) in enumerate(metric_rank.entries, 1):
-        acc = dict(probe_rank.entries)[task_id]
-        rows.append((task_id,
-                     f"{_fmt(score)},{rank},{_fmt(acc)},"
-                     f"{probe_rank.position[task_id]}"))
-    rows.append(("footrule_full",
-                 footrule_full(metric_rank, probe_rank).distance))
-    rows.append(("footrule_top1",
-                 footrule_topk(metric_rank, probe_rank, 1).distance))
-    if args.format == "json":
-        doc = {"config": config, "result": _round_floats({
-            "comparison": [
-                {"task_id": t, "metric_score": s, "metric_rank": r,
-                 "probe_accuracy": dict(probe_rank.entries)[t],
-                 "probe_rank": probe_rank.position[t]}
-                for r, (t, s) in enumerate(metric_rank.entries, 1)],
-            "footrule_full": footrule_full(metric_rank, probe_rank).distance,
-            "footrule_top1": footrule_topk(metric_rank, probe_rank, 1).distance,
-        })}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        sys.stdout.write(text)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        lines = ["# config: " + json.dumps(config, sort_keys=True),
-                 "task_id,metric_score,metric_rank,probe_accuracy,probe_rank"]
-        lines += [f"{key},{val}" for key, val in rows]
-        text = "\n".join(lines) + "\n"
-        sys.stdout.write(text)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+    result = {
+        "comparison": [
+            {"task_id": t, "metric_score": s, "metric_rank": r,
+             "probe_accuracy": probe_acc[t],
+             "probe_rank": probe_rank.position[t]}
+            for r, (t, s) in enumerate(metric_rank.entries, 1)],
+        "footrule_full": footrule_full(metric_rank, probe_rank).distance,
+        "footrule_top1": footrule_topk(metric_rank, probe_rank, 1).distance,
+    }
+    columns = ("task_id", "metric_score", "metric_rank", "probe_accuracy",
+               "probe_rank")
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(c[k]) for k in columns)
+              for c in result["comparison"]]
+    lines += [f"{key},{result[key]}" for key in ("footrule_full", "footrule_top1")]
+    _emit(args, config, result, lines)
     return 0
 
 
@@ -337,7 +293,11 @@ def cmd_synth_eval(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     env_seed = os.environ.get("XFERSEL_SEED")
-    default_seed = int(env_seed) if env_seed else DEFAULT_SEED
+    try:
+        default_seed = int(env_seed) if env_seed else DEFAULT_SEED
+    except ValueError:
+        raise InvalidSpecError(
+            f"XFERSEL_SEED must be an integer, got {env_seed!r}") from None
 
     parser = argparse.ArgumentParser(
         prog="xfersel",
@@ -408,9 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except XferselError as exc:
         sys.stderr.write(f"ERROR {exc.code}: {exc.detail}\n")

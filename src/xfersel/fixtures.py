@@ -121,6 +121,9 @@ def read_scores_csv(path) -> dict[str, dict[str, float]]:
         task_id = rec["task_id"]
         if task_id in out:
             raise InvalidSpecError(f"{path}: duplicate task_id {task_id!r}")
-        out[task_id] = {k: float(v) for k, v in rec.items()
-                        if k != "task_id" and v not in (None, "")}
+        try:
+            out[task_id] = {k: float(v) for k, v in rec.items()
+                            if k != "task_id" and v not in (None, "")}
+        except ValueError as exc:
+            raise InvalidSpecError(f"{path}: row {task_id!r}: {exc}") from exc
     return out

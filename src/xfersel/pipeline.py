@@ -95,7 +95,6 @@ class SelectionConfig:
             "pairing_mode": self.pairing_mode.value,
             "ssim_seed": self.ssim_seed,
             "hscore_features": self.hscore_features.value,
-            "threads": self.threads,
         }
 
 
@@ -220,16 +219,27 @@ def _metric_score(source: TaskBundle, target: TaskBundle,
                                target_id=target.task_id).score
 
 
+def map_sources(fn, items, threads: int = 1) -> list:
+    """``[fn(x) for x in items]`` over ``threads`` threads, in input order."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def select(pool: list[TaskBundle], target: TaskBundle, cfg: SelectionConfig,
            scores: dict[str, float] | None = None) -> SelectionReport:
     """Run one selection (guided or baseline) and assemble the full report.
 
-    ``scores`` injects externally computed per-source metric scores and
-    bypasses metric computation, which lets the ranking/evaluation layer run
-    on published score tables without any trained models.  Per-source
-    scoring is parallelized over ``cfg.threads``; results are assembled in
-    pool order, so reports are byte-identical at any thread count.
+    A pool bundle with the target's task id is the target itself and is
+    dropped before any filtering.  ``scores`` injects externally computed
+    per-source metric scores and bypasses metric computation, which lets the
+    ranking/evaluation layer run on published score tables without any
+    trained models.  Per-source scoring is parallelized over
+    ``cfg.threads``; results are assembled in pool order, so reports are
+    byte-identical at any thread count.
     """
+    pool = [b for b in pool if b.task_id != target.task_id]
     if not pool:
         raise NoCompatibleSourceError("source pool is empty")
     fallback = False
@@ -242,21 +252,17 @@ def select(pool: list[TaskBundle], target: TaskBundle, cfg: SelectionConfig,
         subset1 = [b for b in pool if b.task_id in kept_ids]
         subset2, roi_scores = roi_filter(subset1, target, cfg)
     else:
-        subset1 = list(pool)
-        subset2 = list(pool)
+        subset1 = subset2 = pool
 
     if scores is not None:
         missing = [b.task_id for b in subset2 if b.task_id not in scores]
         if missing:
             raise UnknownTaskError(f"no injected score for: {missing}")
-        scored = [(b.task_id, float(scores[b.task_id])) for b in subset2]
-    elif cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool_exec:
-            values = list(pool_exec.map(
-                lambda b: _metric_score(b, target, cfg), subset2))
-        scored = [(b.task_id, v) for b, v in zip(subset2, values)]
+        values = [float(scores[b.task_id]) for b in subset2]
     else:
-        scored = [(b.task_id, _metric_score(b, target, cfg)) for b in subset2]
+        values = map_sources(lambda b: _metric_score(b, target, cfg),
+                             subset2, cfg.threads)
+    scored = [(b.task_id, v) for b, v in zip(subset2, values)]
 
     ranking = build_ranking(scored)
     return SelectionReport(

@@ -137,7 +137,10 @@ def read_ranking_csv(path: str | Path) -> Ranking:
             continue
         if len(row) != 3:
             raise InvalidSpecError(f"{path}: malformed row {row!r}")
-        parsed.append((int(row[2]), row[0], float(row[1])))
+        try:
+            parsed.append((int(row[2]), row[0], float(row[1])))
+        except ValueError as exc:
+            raise InvalidSpecError(f"{path}: row {row!r}: {exc}") from exc
     parsed.sort(key=lambda r: r[0])
     if [r[0] for r in parsed] != list(range(1, len(parsed) + 1)):
         raise InvalidSpecError(f"{path}: ranks are not 1..{len(parsed)}")

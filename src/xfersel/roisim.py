@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import LabelMaskSet
-from .errors import EmptyImageError, EmptyLabelSetError, ShapeMismatchError
+from .errors import (
+    EmptyImageError,
+    EmptyLabelSetError,
+    InvalidSpecError,
+    ShapeMismatchError,
+)
 from .rng import subsample_indices
 
 DEFAULT_MAX_PAIRS = 256
@@ -128,6 +133,8 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
     The mean over pairs is accumulated in fixed index order, so the result
     is bit-stable regardless of any caller-side parallelism.
     """
+    if max_pairs < 1:
+        raise InvalidSpecError(f"max_pairs must be >= 1, got {max_pairs}")
     if source.n_samples == 0 or target.n_samples == 0:
         raise EmptyLabelSetError("both label sets must be non-empty")
     src, tgt = _binarized_aligned(source, target)

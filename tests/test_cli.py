@@ -285,6 +285,63 @@ class TestSynthCmds:
         assert "footrule_top1," in out
         assert "task_id,metric_score,metric_rank,probe_accuracy,probe_rank" in out
 
+    def test_synth_json_lists_every_task(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SMALL_SPEC))
+        code, out, _ = run(capsys, "--format", "json", "synth",
+                           "--spec", str(spec_path),
+                           "--out", str(tmp_path / "tasks"))
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["created"] == 3
+        assert result["tasks"] == sorted(p.name for p in
+                                         (tmp_path / "tasks").iterdir())
+        code, out, _ = run(capsys, "synth", "--spec", str(spec_path),
+                           "--out", str(tmp_path / "tasks"))
+        assert [line for line in out.splitlines() if line.startswith("task,")] \
+            == [f"task,{t}" for t in result["tasks"]]
+
+    def test_synth_eval_hscore_scores_match_select(self, tmp_path, capsys):
+        from xfersel.bundle import load_bundle
+        from xfersel.pipeline import (HScoreFeatures, Metric, SelectionConfig,
+                                      SelectionPath, select)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SMALL_SPEC))
+        run(capsys, "--seed", "3", "synth", "--spec", str(spec_path),
+            "--out", str(tmp_path / "tasks"))
+        bundles = [load_bundle(d) for d in sorted((tmp_path / "tasks").iterdir())]
+        target = bundles[0]
+        code, out, _ = run(capsys, "--format", "json", "synth-eval",
+                           "--dir", str(tmp_path / "tasks"),
+                           "--target", target.task_id, "--metric", "hscore")
+        assert code == 0
+        printed = {c["task_id"]: c["metric_score"]
+                   for c in json.loads(out)["result"]["comparison"]}
+        cfg = SelectionConfig(path=SelectionPath.BASELINE,
+                              metric=Metric.HSCORE,
+                              hscore_features=HScoreFeatures.SOURCE)
+        report = select(bundles, target, cfg)
+        assert printed == {t: round(s, 6)
+                           for t, _, s in report.per_source_scores}
+        assert target.task_id not in printed
+
+    @pytest.mark.parametrize("metric", ["hscore", "otce"])
+    def test_synth_eval_featureless_target(self, tmp_path, capsys, metric):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SMALL_SPEC))
+        run(capsys, "synth", "--spec", str(spec_path),
+            "--out", str(tmp_path / "tasks"))
+        write_bundle(make_bundle("BARE-0-SIM", n=4, h=8, w=8,
+                                 with_features=False),
+                     tmp_path / "tasks" / "BARE-0-SIM")
+        code, out, err = run(capsys, "synth-eval",
+                             "--dir", str(tmp_path / "tasks"),
+                             "--target", "BARE-0-SIM", "--metric", metric)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ERROR MissingFeatures: ")
+        assert err.count("\n") == 1
+
     def test_synth_eval_unknown_target(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(SMALL_SPEC))
@@ -295,6 +352,61 @@ class TestSynthCmds:
                            "--target", "missing", "--metric", "otce")
         assert code == 2
         assert err.startswith("ERROR UnknownTask")
+
+
+def _scores_cell_not_numeric(tmp_path, monkeypatch):
+    pool_dir, target_dir, scores_csv = write_pool(tmp_path)
+    lines = scores_csv.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",n/a"
+    scores_csv.write_text("\n".join(lines) + "\n")
+    return ["select", "--target", str(target_dir), "--sources", str(pool_dir),
+            "--metric", "otce", "--scores-file", str(scores_csv)]
+
+
+def _bad_ranking_row(row):
+    def argv(tmp_path, monkeypatch):
+        good = tmp_path / "good.csv"
+        write_ranking_csv(build_ranking([("a", 1.0), ("b", 0.5)]), good)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"task_id,score,rank\na,1.0,1\n{row}\n")
+        return ["footrule", "--pred", str(bad), "--truth", str(good)]
+    return argv
+
+
+def _roi_sim_zero_pairs(tmp_path, monkeypatch):
+    write_bundle(make_bundle(), tmp_path / "b")
+    return ["roi-sim", "--source", str(tmp_path / "b"),
+            "--target", str(tmp_path / "b"), "--pairs", "0"]
+
+
+def _env_seed_not_integer(tmp_path, monkeypatch):
+    monkeypatch.setenv("XFERSEL_SEED", "abc")
+    write_bundle(make_bundle(), tmp_path / "b")
+    return ["roi-sim", "--source", str(tmp_path / "b"),
+            "--target", str(tmp_path / "b")]
+
+
+def _synth_spec_not_object(tmp_path, monkeypatch):
+    (tmp_path / "spec.json").write_text("[1, 2]")
+    return ["synth", "--spec", str(tmp_path / "spec.json"),
+            "--out", str(tmp_path / "tasks")]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _scores_cell_not_numeric,
+    _bad_ranking_row("b,0.5,two"),
+    _bad_ranking_row("b,half,2"),
+    _env_seed_not_integer,
+    _roi_sim_zero_pairs,
+    _synth_spec_not_object,
+], ids=["scores-cell", "ranking-rank", "ranking-score", "env-seed",
+        "roi-sim-pairs-0", "synth-spec-not-object"])
+def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv):
+    code, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR InvalidSpec: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestGlobalFlags:

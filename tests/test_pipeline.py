@@ -159,6 +159,26 @@ class TestSelect:
         r4 = select(pool, target, cfg4)
         assert r1.per_source_scores == r4.per_source_scores
         assert r1.final_ranking.entries == r4.final_ranking.entries
+        assert r1.to_json() == r4.to_json()
+
+    @pytest.mark.parametrize("path", [SelectionPath.GUIDED,
+                                      SelectionPath.BASELINE])
+    def test_target_in_pool_is_dropped(self, path):
+        target = make_bundle("ET-9-T2", n=2, h=4, w=4, c=2, seed=70)
+        others = [make_bundle(f"ED-{i}-T2", n=2, h=4, w=4, c=2, seed=71 + i)
+                  for i in range(3)]
+        cfg = SelectionConfig(path=path, metric=Metric.OTCE, top_k=3,
+                              roi_keep_classes=2)
+        with_target = select([others[0], target, *others[1:]], target, cfg)
+        without = select(others, target, cfg)
+        assert target.task_id not in with_target.subset1
+        assert with_target.to_json() == without.to_json()
+
+    def test_pool_of_only_the_target(self):
+        target = make_bundle("ET-9-T2", n=2, h=4, w=4, c=2, seed=70)
+        with pytest.raises(NoCompatibleSourceError):
+            select([target], target, SelectionConfig(
+                path=SelectionPath.BASELINE, metric=Metric.OTCE))
 
     def test_deterministic_report_json(self):
         sources, target = fixtures.benchmark_pool("ET-20-T1")
