@@ -8,6 +8,20 @@ with population covariances and class-conditional means weighted by the
 empirical class probabilities.  The segmentation score treats every pixel
 position of the image grid as its own classification problem over the
 samples and averages the per-position scores over all H*W positions.
+
+Both forms run one batched kernel over P pixel problems.  With Fc the
+centred features of a pixel and s_k the sum of Fc over the samples of
+class k (count n_k), cov(E[F|Y]) = sum_k s_k s_k^T / (n * n_k), so the
+trace is
+
+    sum_k s_k^T (cov(F) + ridge*I)^-1 s_k / (n * n_k)
+
+from one batched solve against the K class columns instead of a C x C
+right-hand side.  Pixels are taken in chunks whose float64 working set
+stays under ``_CHUNK_BYTES``; each chunk is cast from the stored float32
+on its own, so memory is bounded for any grid or class count.  When
+n_samples <= C every pixel covariance is singular and only the ridge keeps
+it invertible; such pixels are counted in ``rank_deficient_pixels``.
 """
 
 from __future__ import annotations
@@ -24,21 +38,20 @@ from .errors import (
     ShapeMismatchError,
 )
 
+# float64 working bytes one chunk of pixel problems may hold
+_CHUNK_BYTES = 2 << 20
+
 
 @dataclass(frozen=True)
 class HScoreParams:
     ridge: float = 1e-8
-    min_samples_per_pixel: int = 2
 
     def __post_init__(self):
         if self.ridge < 0:
             raise InvalidSpecError("ridge must be >= 0")
-        if self.min_samples_per_pixel < 2:
-            raise InvalidSpecError("min_samples_per_pixel must be >= 2")
 
     def to_dict(self) -> dict:
-        return {"ridge": self.ridge,
-                "min_samples_per_pixel": self.min_samples_per_pixel}
+        return {"ridge": self.ridge}
 
 
 @dataclass(frozen=True)
@@ -47,7 +60,42 @@ class HScoreReport:
     target_id: str
     score: float
     skipped_pixels: int
+    rank_deficient_pixels: int
     per_pixel_scores: np.ndarray | None = None  # [H, W] float64
+
+
+def _chunk_pixels(n: int, c: int, k: int) -> int:
+    """Pixels per chunk: float32 gather, float64 features, one-hot, two
+    C x C (covariance and its LU copy) and three K x C blocks per pixel."""
+    per_pixel = 4 * n * c + 8 * (n * c + n * k + 2 * c * c + 3 * k * c)
+    return max(1, _CHUNK_BYTES // per_pixel)
+
+
+def _pixel_hscores(features: np.ndarray, labels: np.ndarray,
+                   pixels: np.ndarray, ridge: float) -> np.ndarray:
+    """H-scores of the pixel problems ``features[:, pixels]`` [n, P, C]
+    against ``labels[:, pixels]`` [n, P]; returns [P] float64."""
+    n, _, c = features.shape
+    classes = np.unique(labels)
+    step = _chunk_pixels(n, c, len(classes))
+    scores = np.empty(len(pixels))
+    for lo in range(0, len(pixels), step):
+        chunk = pixels[lo:lo + step]
+        # [p, C, n] so every product below is a plain batched BLAS matmul
+        f = np.take(features, chunk, axis=1).transpose(1, 2, 0).astype(
+            np.float64, order="C")
+        f -= f.mean(axis=2, keepdims=True)
+        cov = np.matmul(f, f.transpose(0, 2, 1)) / n         # [p, C, C]
+        cov[:, range(c), range(c)] += ridge
+        y = np.take(labels, chunk, axis=1).T                 # [p, n]
+        onehot = (y[:, None, :] == classes[:, None]).astype(np.float64)
+        counts = onehot.sum(axis=2)                          # [p, K]
+        sums = np.matmul(f, onehot.transpose(0, 2, 1))       # [p, C, K]
+        weight = np.divide(1.0, n * counts, out=np.zeros_like(counts),
+                           where=counts > 0)
+        solved = np.linalg.solve(cov, sums)
+        scores[lo:lo + step] = np.einsum("pck,pck,pk->p", sums, solved, weight)
+    return scores
 
 
 def hscore_classification(features: np.ndarray, labels: np.ndarray,
@@ -64,23 +112,8 @@ def hscore_classification(features: np.ndarray, labels: np.ndarray,
         raise DegenerateInputError("need at least 2 samples")
     if not np.isfinite(feats).all():
         raise NonFiniteFeatureError("features contain NaN/Inf")
-
-    n, c = feats.shape
-    mu = feats.mean(axis=0)
-    centered = feats - mu
-    cov_f = centered.T @ centered / n
-
-    # covariance of the conditional-mean vector E[F|Y] under the empirical
-    # label distribution: class means weighted by class frequencies
-    cov_b = np.zeros((c, c))
-    for y in np.unique(labs):
-        sel = labs == y
-        p_y = sel.mean()
-        delta = feats[sel].mean(axis=0) - mu
-        cov_b += p_y * np.outer(delta, delta)
-
-    reg = cov_f + params.ridge * np.eye(c)
-    return float(np.trace(np.linalg.solve(reg, cov_b)))
+    return float(_pixel_hscores(feats[:, None], labs[:, None],
+                                np.zeros(1, np.intp), params.ridge)[0])
 
 
 def hscore_segmentation(fs: PixelFeatureSet,
@@ -93,34 +126,23 @@ def hscore_segmentation(fs: PixelFeatureSet,
     ``fs`` should hold the source model's outputs on the target images,
     aligned with the target labels.  Positions where only one class occurs
     across the samples carry no class signal; they contribute 0 and are
-    counted in ``skipped_pixels``.  The final score is the arithmetic mean
-    over all H*W positions, accumulated in fixed row-major order.
+    counted in ``skipped_pixels``.  The final score is the mean over all
+    H*W positions, summed in a fixed order independent of the chunking.
     """
-    if fs.n_samples < params.min_samples_per_pixel:
-        raise DegenerateInputError(
-            f"need >= {params.min_samples_per_pixel} samples per pixel, "
-            f"got {fs.n_samples}")
     n, h, w, c = fs.features.shape
-    feats = fs.features.astype(np.float64)
-    labs = fs.aligned_labels.masks
+    if n < 2:
+        raise DegenerateInputError(f"need >= 2 samples per pixel, got {n}")
+    feats = fs.features.reshape(n, h * w, c)
+    labs = fs.aligned_labels.masks.reshape(n, h * w)
+    active = np.flatnonzero((labs != labs[0]).any(axis=0))
 
-    per_pixel = np.zeros((h, w))
-    skipped = 0
-    total = 0.0
-    for r in range(h):
-        for col in range(w):
-            pixel_labels = labs[:, r, col]
-            if (pixel_labels == pixel_labels[0]).all():
-                skipped += 1
-                continue
-            s = hscore_classification(feats[:, r, col, :], pixel_labels, params)
-            per_pixel[r, col] = s
-            total += s
-
+    per_pixel = np.zeros(h * w)
+    per_pixel[active] = _pixel_hscores(feats, labs, active, params.ridge)
     return HScoreReport(
         source_id=source_id if source_id is not None else fs.task_id,
         target_id=target_id if target_id is not None else fs.task_id,
-        score=total / (h * w),
-        skipped_pixels=skipped,
-        per_pixel_scores=per_pixel if keep_per_pixel else None,
+        score=float(per_pixel.sum() / (h * w)),
+        skipped_pixels=h * w - len(active),
+        rank_deficient_pixels=len(active) if n <= c else 0,
+        per_pixel_scores=per_pixel.reshape(h, w) if keep_per_pixel else None,
     )

@@ -18,7 +18,7 @@ frozen-encoder/retrained-head structure of real transfer experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -42,6 +42,11 @@ SMOOTHING_SIGMA = 2.5     # field correlation length in pixels
 PROBE_TRAIN_PIXELS = 512
 PROBE_RIDGE = 1e-2
 PROBE_NEWTON_STEPS = 30
+
+
+def _is_a(value, kinds) -> bool:
+    """isinstance for JSON numbers, where a bool must not pass as one."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,17 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
         spec = dict(d)
+        for f in fields(cls):
+            if f.name not in spec:
+                continue
+            value = spec[f.name]
+            if f.name == "signal_strengths":
+                ok = isinstance(value, list) and all(
+                    _is_a(s, (int, float)) for s in value)
+            else:
+                ok = _is_a(value, int)
+            if not ok:
+                raise InvalidSpecError(f"{f.name} has the wrong type: {value!r}")
         if "signal_strengths" in spec:
             spec["signal_strengths"] = tuple(spec["signal_strengths"])
         try:

@@ -386,27 +386,34 @@ def _env_seed_not_integer(tmp_path, monkeypatch):
             "--target", str(tmp_path / "b")]
 
 
-def _synth_spec_not_object(tmp_path, monkeypatch):
-    (tmp_path / "spec.json").write_text("[1, 2]")
-    return ["synth", "--spec", str(tmp_path / "spec.json"),
-            "--out", str(tmp_path / "tasks")]
+def _synth_spec(text):
+    def argv(tmp_path, monkeypatch):
+        (tmp_path / "spec.json").write_text(text)
+        return ["synth", "--spec", str(tmp_path / "spec.json"),
+                "--out", str(tmp_path / "tasks")]
+    return argv
 
 
-@pytest.mark.parametrize("make_argv", [
-    _scores_cell_not_numeric,
-    _bad_ranking_row("b,0.5,two"),
-    _bad_ranking_row("b,half,2"),
-    _env_seed_not_integer,
-    _roi_sim_zero_pairs,
-    _synth_spec_not_object,
+@pytest.mark.parametrize("make_argv, detail", [
+    (_scores_cell_not_numeric, ""),
+    (_bad_ranking_row("b,0.5,two"), ""),
+    (_bad_ranking_row("b,half,2"), ""),
+    (_env_seed_not_integer, ""),
+    (_roi_sim_zero_pairs, ""),
+    (_synth_spec("[1, 2]"), ""),
+    (_synth_spec('{"signal_strengths": 5}'), "signal_strengths"),
+    (_synth_spec('{"n_tasks": "x"}'), "n_tasks"),
 ], ids=["scores-cell", "ranking-rank", "ranking-score", "env-seed",
-        "roi-sim-pairs-0", "synth-spec-not-object"])
-def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv):
+        "roi-sim-pairs-0", "synth-spec-not-object",
+        "synth-spec-strengths-not-list", "synth-spec-field-type"])
+def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv,
+                              detail):
     code, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
     assert code == 2
     assert out == ""
     assert err.startswith("ERROR InvalidSpec: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert detail in err
 
 
 class TestGlobalFlags:

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from xfersel import hscore
 from xfersel.bundle import LabelMaskSet, PixelFeatureSet
 from xfersel.errors import DegenerateInputError, NonFiniteFeatureError
 from xfersel.hscore import HScoreParams, hscore_classification, hscore_segmentation
+from xfersel.synth import SynthSpec, generate_tasks
 
 from oracles import hscore_reference, hscore_segmentation_reference
 
@@ -127,3 +131,79 @@ class TestSegmentation:
                          rng.integers(0, 2, (1, 2, 2)))
         with pytest.raises(DegenerateInputError):
             hscore_segmentation(fs)
+
+    def test_gapped_classes_match_oracle(self):
+        # three classes with gaps in their ids, some pixels missing a class
+        rng = np.random.Generator(np.random.Philox(17))
+        feats = rng.standard_normal((12, 3, 4, 3)).astype(np.float32)
+        masks = np.array([0, 2, 5], np.uint8)[rng.integers(0, 3, (12, 3, 4))]
+        masks[:, 0, 0] = [0, 2] * 6
+        fs = feature_set(feats, masks)
+        expected = hscore_segmentation_reference(
+            feats.astype(np.float64), masks, ridge=1e-8)
+        assert hscore_segmentation(fs).score == pytest.approx(expected,
+                                                              abs=1e-9)
+
+    def test_chunk_boundary_with_interleaved_skips(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(18))
+        n, c = 9, 3
+        feats = rng.standard_normal((n, 5, 7, c)).astype(np.float32)
+        masks = rng.integers(0, 2, (n, 5, 7)).astype(np.uint8)
+        masks[:, ::3, ::2] = 1                       # skipped, spread out
+        skipped = int((masks == masks[0]).all(axis=0).sum())
+        monkeypatch.setattr(hscore, "_CHUNK_BYTES", 4000)
+        assert hscore._chunk_pixels(n, c, 2) < 35 - skipped
+        report = hscore_segmentation(feature_set(feats, masks))
+        expected = hscore_segmentation_reference(
+            feats.astype(np.float64), masks, ridge=1e-8)
+        assert report.score == pytest.approx(expected, abs=1e-9)
+        assert report.skipped_pixels == skipped
+
+    def test_per_pixel_placement_non_square(self):
+        rng = np.random.Generator(np.random.Philox(19))
+        feats = rng.standard_normal((8, 2, 5, 2)).astype(np.float32)
+        masks = rng.integers(0, 2, (8, 2, 5)).astype(np.uint8)
+        masks[:, 1, 3] = 0
+        report = hscore_segmentation(feature_set(feats, masks),
+                                     keep_per_pixel=True)
+        assert report.per_pixel_scores.shape == (2, 5)
+        for r in range(2):
+            for col in range(5):
+                expected = hscore_segmentation_reference(
+                    feats[:, r:r + 1, col:col + 1].astype(np.float64),
+                    masks[:, r:r + 1, col:col + 1], ridge=1e-8)
+                assert report.per_pixel_scores[r, col] == pytest.approx(
+                    expected, abs=1e-9)
+        assert report.per_pixel_scores[1, 3] == 0.0
+
+    def test_one_pixel_grid_equals_classification(self):
+        rng = np.random.Generator(np.random.Philox(20))
+        feats = rng.standard_normal((10, 1, 1, 3)).astype(np.float32)
+        masks = rng.integers(0, 3, (10, 1, 1)).astype(np.uint8)
+        masks[:2, 0, 0] = [0, 1]
+        report = hscore_segmentation(feature_set(feats, masks))
+        assert report.score == hscore_classification(
+            feats[:, 0, 0].astype(np.float64), masks[:, 0, 0])
+
+    @pytest.mark.parametrize("n, c, deficient", [(16, 16, True),
+                                                 (64, 8, False)])
+    def test_rank_deficient_pixels(self, n, c, deficient):
+        spec = SynthSpec(n_tasks=1, n_samples=n, height=8, width=8,
+                         channels=c, signal_strengths=(0.5,), seed=42)
+        report = hscore_segmentation(generate_tasks(spec)[0].features)
+        active = 64 - report.skipped_pixels
+        assert active > 0
+        assert report.rank_deficient_pixels == (active if deficient else 0)
+
+    def test_memory_bounded_by_chunks(self):
+        rng = np.random.Generator(np.random.Philox(21))
+        feats = rng.standard_normal((64, 64, 64, 8), np.float32)
+        fs = feature_set(feats, rng.integers(0, 2, (64, 64, 64)))
+        whole_float64 = 2 * feats.nbytes   # what a whole-array cast copies
+        tracemalloc.start()
+        try:
+            hscore_segmentation(fs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_float64
