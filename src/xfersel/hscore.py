@@ -93,7 +93,12 @@ def _pixel_hscores(features: np.ndarray, labels: np.ndarray,
         sums = np.matmul(f, onehot.transpose(0, 2, 1))       # [p, C, K]
         weight = np.divide(1.0, n * counts, out=np.zeros_like(counts),
                            where=counts > 0)
-        solved = np.linalg.solve(cov, sums)
+        try:
+            solved = np.linalg.solve(cov, sums)
+        except np.linalg.LinAlgError:
+            raise DegenerateInputError(
+                f"a pixel feature covariance is singular at ridge {ridge:g}; "
+                f"use a ridge > 0") from None
         scores[lo:lo + step] = np.einsum("pck,pck,pk->p", sums, solved, weight)
     return scores
 

@@ -9,6 +9,7 @@ means more transferable.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,22 @@ class OtceReport:
     subsample: SubsampleSpec
 
 
+# float64 bytes of one row block of an N_s x N_t array; every N x N step
+# other than the cost and the kernel runs one such block at a time
+_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    step = max(1, _BLOCK_BYTES // (8 * n_cols))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, [N_s, N_t], clamped at 0."""
+    """Pairwise squared Euclidean distances, [N_s, N_t], clamped at 0.
+
+    Built in the one result array: ``-2 a b^T`` by matmul, then the squared
+    norms added one row block at a time.
+    """
     a = np.asarray(src, dtype=np.float64)
     b = np.asarray(tgt, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
@@ -79,10 +94,13 @@ def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
             f"channel counts differ: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise DimensionMismatchError("feature lists must be non-empty")
-    sq_a = (a * a).sum(axis=1)[:, None]
-    sq_b = (b * b).sum(axis=1)[None, :]
-    cost = sq_a + sq_b - 2.0 * (a @ b.T)
-    return np.maximum(cost, 0.0)
+    sq_a = (a * a).sum(axis=1)
+    sq_b = (b * b).sum(axis=1)
+    cost = a @ b.T
+    cost *= -2.0
+    for rows in _row_blocks(*cost.shape):
+        cost[rows] += sq_a[rows, None] + sq_b
+    return np.maximum(cost, 0.0, out=cost)
 
 
 # Scalings are folded into the log potentials once either leaves
@@ -104,8 +122,12 @@ def sinkhorn(cost: np.ndarray,
     One log-domain sweep sets the potentials ``f``, ``g``; every later sweep
     is two mat-vecs with the stabilised kernel ``K = exp(-C/eps + f + g)``,
     and the plan is ``u * K * v``.  Drifting scalings are absorbed into the
-    potentials (Schmitzer 2019), so small epsilon neither overflows nor
-    underflows.
+    potentials and ``K`` is rebuilt from ``cost`` (Schmitzer 2019), so small
+    epsilon neither overflows nor underflows.
+
+    ``K`` is the only N_s x N_t array allocated here and becomes the plan's
+    coupling; the log-sum-exp set-up and every rebuild run one row block at
+    a time in it, so ``cost`` is never modified.
 
     Iterations stop once the plan's worst row-marginal violation (columns
     are exact after each sweep) drops to ``marginal_tol`` or at
@@ -115,17 +137,38 @@ def sinkhorn(cost: np.ndarray,
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise NonFiniteCostError("cost must be a non-empty 2-D matrix")
-    if not np.isfinite(cost).all():
-        raise NonFiniteCostError("cost matrix contains NaN/Inf")
 
     n_s, n_t = cost.shape
     a = np.full(n_s, 1.0 / n_s)
     b = np.full(n_t, 1.0 / n_t)
-    neg_cost = -cost / params.epsilon
+    blocks = _row_blocks(n_s, n_t)
+    kernel = np.empty((n_s, n_t))
 
-    f = np.log(a) - _lse(neg_cost, axis=1)
-    g = np.log(b) - _lse(neg_cost + f[:, None], axis=0)
-    kernel = np.exp(neg_cost + f[:, None] + g[None, :])
+    # row log-sum-exp of -C/eps gives f; -C/eps + f stays in the kernel
+    # buffer for the column pass.  That pass adds the running sum into each
+    # block's first row, so the column sums add rows in the same order as a
+    # whole-matrix sum(axis=0) and f, g keep the same bits.
+    f = np.empty(n_s)
+    col_peak = np.full(n_t, -np.inf)
+    for rows in blocks:
+        if not np.isfinite(cost[rows]).all():
+            raise NonFiniteCostError("cost matrix contains NaN/Inf")
+        block = np.divide(cost[rows], -params.epsilon, out=kernel[rows])
+        peak = block.max(axis=1)
+        shifted = block - peak[:, None]
+        np.exp(shifted, out=shifted)
+        f[rows] = np.log(a[rows]) - (np.log(shifted.sum(axis=1)) + peak)
+        block += f[rows, None]
+        np.maximum(col_peak, block.max(axis=0), out=col_peak)
+    col_sum = np.zeros(n_t)
+    for rows in blocks:
+        shifted = kernel[rows] - col_peak
+        np.exp(shifted, out=shifted)
+        shifted[0] += col_sum
+        col_sum = shifted.sum(axis=0)
+    g = np.log(b) - (np.log(col_sum) + col_peak)
+
+    _fill_kernel(kernel, cost, params.epsilon, f, g, blocks)
     u = np.ones(n_s)
     v = np.ones(n_t)
     sweeps = 1
@@ -139,7 +182,7 @@ def sinkhorn(cost: np.ndarray,
         if max(np.abs(np.log(u)).max(), np.abs(np.log(v)).max()) > _ABSORB_LOG:
             f += np.log(u)
             g += np.log(v)
-            kernel = np.exp(neg_cost + f[:, None] + g[None, :])
+            _fill_kernel(kernel, cost, params.epsilon, f, g, blocks)
             u = np.ones(n_s)
             v = np.ones(n_t)
 
@@ -151,19 +194,21 @@ def sinkhorn(cost: np.ndarray,
                          iterations_used=sweeps, final_marginal_error=float(err))
 
 
+def _fill_kernel(kernel: np.ndarray, cost: np.ndarray, epsilon: float,
+                 f: np.ndarray, g: np.ndarray, blocks: list[slice]) -> None:
+    """``kernel = exp(-cost/epsilon + f + g)`` in place, one row block at a
+    time."""
+    for rows in blocks:
+        block = np.divide(cost[rows], -epsilon, out=kernel[rows])
+        block += f[rows, None]
+        block += g
+        np.exp(block, out=block)
+
+
 def _marginal_error(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     row_err = np.abs(plan.sum(axis=1) - a).max()
     col_err = np.abs(plan.sum(axis=0) - b).max()
     return max(row_err, col_err)
-
-
-def _lse(mat: np.ndarray, axis: int) -> np.ndarray:
-    peak = mat.max(axis=axis)
-    if axis == 1:
-        shifted = mat - peak[:, None]
-    else:
-        shifted = mat - peak[None, :]
-    return np.log(np.exp(shifted).sum(axis=axis)) + peak
 
 
 def joint_label_distribution(plan: TransportPlan,
@@ -201,27 +246,64 @@ def otce_from_joint(joint: JointLabelDistribution) -> float:
     return float(np.sum(table[mask] * np.log(table[mask] / row[mask])))
 
 
+def physical_memory_bytes() -> int:
+    """Bytes of physical memory on this machine, the bound on OTCE pairs."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def otce_target(target: PixelFeatureSet, sources: list[PixelFeatureSet],
+                sampler: SubsampleSpec,
+                threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The target's pixels, flattened once for pairing with every source.
+
+    Each pair holds two float64 N_s x N_t arrays (cost and kernel), so
+    ``min(threads, len(sources))`` pairs at once need about
+    ``2 * N_s * N_t * 8`` bytes each, from the post-subsample sizes.  When
+    that is more than physical memory this raises ``InvalidSpecError``
+    before anything is allocated.
+    """
+    def kept(fs):
+        return min(fs.n_pixels, sampler.max_pixels)
+
+    n_s, n_t = max(map(kept, sources)), kept(target)
+    pairs = max(1, min(threads, len(sources)))
+    need = 2 * n_s * n_t * 8 * pairs
+    have = physical_memory_bytes()
+    if need > have:
+        raise InvalidSpecError(
+            f"OTCE needs about {need / 2**20:,.1f} MiB for {pairs} concurrent "
+            f"{n_s} x {n_t} pixel pair(s), more than the "
+            f"{have / 2**20:,.1f} MiB of physical memory; lower --max-pixels")
+    return flatten_pixels(target, sampler)
+
+
 def otce(source: PixelFeatureSet, target: PixelFeatureSet,
          sampler: SubsampleSpec = SubsampleSpec(),
-         params: SinkhornParams = SinkhornParams()) -> OtceReport:
+         params: SinkhornParams = SinkhornParams(),
+         target_pixels: tuple[np.ndarray, np.ndarray] | None = None,
+         ) -> OtceReport:
     """End-to-end OTCE between a source and a target pixel feature set.
 
     Both sets must come from the same extractor (equal channel count is
     enforced here; provenance is the caller's contract).  Each side is
     flattened and, above ``sampler.max_pixels``, subsampled with the same
-    spec applied independently per side.
+    spec applied independently per side.  ``target_pixels`` is the target
+    already flattened by :func:`otce_target`, which a caller pairing one
+    target with many sources passes to flatten it only once.
     """
     if source.channels != target.channels:
         raise DimensionMismatchError(
             f"channel counts differ: {source.channels} vs {target.channels}")
+    if target_pixels is None:
+        target_pixels = otce_target(target, [source], sampler)
     src_feats, src_labels = flatten_pixels(source, sampler)
-    tgt_feats, tgt_labels = flatten_pixels(target, sampler)
+    tgt_feats, tgt_labels = target_pixels
 
     cost = cost_matrix(src_feats, tgt_feats)
     plan = sinkhorn(cost, params)
     joint = joint_label_distribution(plan, src_labels, tgt_labels)
     score = otce_from_joint(joint)
-    ot_cost = float((plan.coupling * cost).sum())
+    ot_cost = float(np.vdot(plan.coupling, cost))
     return OtceReport(source_id=source.task_id, target_id=target.task_id,
                       score=score, ot_cost=ot_cost,
                       iterations_used=plan.iterations_used,

@@ -24,7 +24,7 @@ from .errors import (
     UnknownTaskError,
 )
 from .hscore import HScoreParams, hscore_segmentation
-from .otce import SinkhornParams, otce
+from .otce import SinkhornParams, otce, otce_target
 from .ranking import Ranking, build_ranking
 from .roisim import PairingMode, SsimParams, resample_nearest, roi_sim
 
@@ -202,14 +202,25 @@ def roi_filter(subset1: list[TaskBundle], target: TaskBundle,
     return subset2, scores
 
 
-def _metric_score(source: TaskBundle, target: TaskBundle,
-                  cfg: SelectionConfig) -> float:
+def _metric_scores(sources: list[TaskBundle], target: TaskBundle,
+                   cfg: SelectionConfig) -> list[float]:
+    """The metric score of each source against the target, in pool order."""
     if cfg.metric is Metric.OTCE:
-        if source.features is None or target.features is None:
-            raise MissingFeaturesError(
-                f"otce needs features on {source.task_id} and {target.task_id}")
-        return otce(source.features, target.features, cfg.sampler,
-                    cfg.sinkhorn_params).score
+        for b in sources:
+            if b.features is None or target.features is None:
+                raise MissingFeaturesError(
+                    f"otce needs features on {b.task_id} and {target.task_id}")
+        pixels = otce_target(target.features, [b.features for b in sources],
+                             cfg.sampler, cfg.threads)
+        return map_sources(
+            lambda b: otce(b.features, target.features, cfg.sampler,
+                           cfg.sinkhorn_params, pixels).score,
+            sources, cfg.threads)
+    return map_sources(lambda b: _hscore(b, target, cfg), sources, cfg.threads)
+
+
+def _hscore(source: TaskBundle, target: TaskBundle,
+            cfg: SelectionConfig) -> float:
     bundle = target if cfg.hscore_features is HScoreFeatures.TARGET else source
     if bundle.features is None:
         raise MissingFeaturesError(
@@ -260,8 +271,7 @@ def select(pool: list[TaskBundle], target: TaskBundle, cfg: SelectionConfig,
             raise UnknownTaskError(f"no injected score for: {missing}")
         values = [float(scores[b.task_id]) for b in subset2]
     else:
-        values = map_sources(lambda b: _metric_score(b, target, cfg),
-                             subset2, cfg.threads)
+        values = _metric_scores(subset2, target, cfg)
     scored = [(b.task_id, v) for b, v in zip(subset2, values)]
 
     ranking = build_ranking(scored)

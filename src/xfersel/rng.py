@@ -22,6 +22,8 @@ format contract.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
@@ -36,6 +38,15 @@ def mix64(z: int) -> int:
 def word(seed: int, index: int) -> int:
     """The ``index``-th 64-bit word of the stream for ``seed``."""
     return mix64((seed + (index + 1) * GOLDEN_GAMMA) & MASK64)
+
+
+def _words(seed: int, count: int) -> np.ndarray:
+    """``word(seed, i)`` for ``i < count`` as uint64, in wrapping arithmetic."""
+    z = np.uint64(seed) + np.arange(1, count + 1, dtype=np.uint64) \
+        * np.uint64(GOLDEN_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def derive_seed(seed: int, tag: int) -> int:
@@ -53,10 +64,11 @@ def subsample_indices(n: int, k: int, seed: int) -> list[int]:
         raise ValueError("n and k must be non-negative")
     if k >= n:
         return list(range(n))
+    steps = np.arange(k, dtype=np.uint64)
+    draws = steps + _words(seed, k) % (np.uint64(n) - steps)
     swap: dict[int, int] = {}
     selected = []
-    for i in range(k):
-        j = i + word(seed, i) % (n - i)
+    for i, j in enumerate(draws.tolist()):
         a_i = swap.get(i, i)
         a_j = swap.get(j, j)
         selected.append(a_j)

@@ -137,6 +137,55 @@ def sinkhorn_log_reference(cost, epsilon, tol=1e-14, max_iters=100000):
     return plan
 
 
+def cost_whole_matrix_reference(src, tgt):
+    """``|a|^2 + |b|^2 - 2 a.b`` clamped at 0, each step on the whole
+    matrix; the order of operations the row-blocked cost must keep."""
+    a = np.asarray(src, dtype=np.float64)
+    b = np.asarray(tgt, dtype=np.float64)
+    sq_a = (a * a).sum(axis=1)[:, None]
+    sq_b = (b * b).sum(axis=1)[None, :]
+    return np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
+
+
+def _lse_whole(mat, axis):
+    peak = mat.max(axis=axis, keepdims=True)
+    return (np.log(np.exp(mat - peak).sum(axis=axis, keepdims=True))
+            + peak).squeeze(axis)
+
+
+def sinkhorn_whole_matrix_reference(cost, epsilon, max_iters=1000,
+                                    marginal_tol=1e-9, absorb_log=30.0):
+    """The stabilised scaling solver with every N_s x N_t step done on the
+    whole matrix: a log-sum-exp sweep for the potentials, kernel mat-vec
+    sweeps, absorption into the potentials past ``absorb_log``.  Returns
+    (plan, sweeps), which a row-blocked solver must reproduce bit for bit."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n_s, n_t = cost.shape
+    a = np.full(n_s, 1.0 / n_s)
+    b = np.full(n_t, 1.0 / n_t)
+    neg_cost = -cost / epsilon
+    f = np.log(a) - _lse_whole(neg_cost, 1)
+    g = np.log(b) - _lse_whole(neg_cost + f[:, None], 0)
+    kernel = np.exp(neg_cost + f[:, None] + g[None, :])
+    u = np.ones(n_s)
+    v = np.ones(n_t)
+    sweeps = 1
+    while sweeps < max_iters:
+        kv = kernel @ v
+        if np.abs(u * kv - a).max() <= marginal_tol:
+            break
+        u = a / kv
+        v = b / (kernel.T @ u)
+        sweeps += 1
+        if max(np.abs(np.log(u)).max(), np.abs(np.log(v)).max()) > absorb_log:
+            f += np.log(u)
+            g += np.log(v)
+            kernel = np.exp(neg_cost + f[:, None] + g[None, :])
+            u = np.ones(n_s)
+            v = np.ones(n_t)
+    return u[:, None] * kernel * v[None, :], sweeps
+
+
 def joint_reference(plan, src_labels, tgt_labels):
     """Label-joint accumulation by explicit double loop into a dict."""
     table = {}
@@ -202,3 +251,15 @@ def subsample_reference(n, k, seed):
         j = i + word_reference(seed, i) % (n - i)
         arr[i], arr[j] = arr[j], arr[i]
     return sorted(arr[:k])
+
+
+def subsample_sparse_reference(n, k, seed):
+    """The same partial Fisher-Yates on a dict standing in for ``range(n)``,
+    for ``n`` too large to hold as a list."""
+    if k >= n:
+        return list(range(n))
+    arr = {}
+    for i in range(k):
+        j = i + word_reference(seed, i) % (n - i)
+        arr[i], arr[j] = arr.get(j, j), arr.get(i, i)
+    return sorted(arr.get(i, i) for i in range(k))

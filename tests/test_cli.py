@@ -11,6 +11,7 @@ from xfersel import fixtures
 from xfersel.bundle import write_bundle
 from xfersel.cli import main
 from xfersel.ranking import build_ranking, write_ranking_csv
+from xfersel.synth import SynthSpec, generate_tasks
 
 from conftest import make_bundle
 
@@ -394,26 +395,86 @@ def _synth_spec(text):
     return argv
 
 
-@pytest.mark.parametrize("make_argv, detail", [
-    (_scores_cell_not_numeric, ""),
-    (_bad_ranking_row("b,0.5,two"), ""),
-    (_bad_ranking_row("b,half,2"), ""),
-    (_env_seed_not_integer, ""),
-    (_roi_sim_zero_pairs, ""),
-    (_synth_spec("[1, 2]"), ""),
-    (_synth_spec('{"signal_strengths": 5}'), "signal_strengths"),
-    (_synth_spec('{"n_tasks": "x"}'), "n_tasks"),
+def _write_default_synth_pool(tmp_path):
+    """The pool ``xfersel synth`` writes with the default spec, under
+    ``tmp_path / "pool"``."""
+    for b in generate_tasks(SynthSpec()):
+        write_bundle(b, tmp_path / "pool" / b.task_id)
+    return tmp_path / "pool"
+
+
+def _hscore_ridge_zero(command):
+    # at signal strength 1 every channel of synth-05 carries the same value,
+    # so its pixel covariances are exactly singular without a ridge
+    def argv(tmp_path, monkeypatch):
+        pool = _write_default_synth_pool(tmp_path)
+        if command == "score":
+            return ["score", "--metric", "hscore", "--ridge", "0",
+                    "--source", str(pool / "synth-00-s0.00"),
+                    "--target", str(pool / "synth-05-s1.00")]
+        return ["select", "--path", "baseline", "--metric", "hscore",
+                "--ridge", "0", "--target", str(pool / "synth-05-s1.00"),
+                "--sources", str(pool)]
+    return argv
+
+
+@pytest.mark.parametrize("make_argv, error, detail", [
+    (_scores_cell_not_numeric, "InvalidSpec", ""),
+    (_bad_ranking_row("b,0.5,two"), "InvalidSpec", ""),
+    (_bad_ranking_row("b,half,2"), "InvalidSpec", ""),
+    (_env_seed_not_integer, "InvalidSpec", ""),
+    (_roi_sim_zero_pairs, "InvalidSpec", ""),
+    (_synth_spec("[1, 2]"), "InvalidSpec", ""),
+    (_synth_spec('{"signal_strengths": 5}'), "InvalidSpec",
+     "signal_strengths"),
+    (_synth_spec('{"n_tasks": "x"}'), "InvalidSpec", "n_tasks"),
+    (_hscore_ridge_zero("score"), "DegenerateInput", "singular at ridge 0"),
+    (_hscore_ridge_zero("select"), "DegenerateInput", "singular at ridge 0"),
 ], ids=["scores-cell", "ranking-rank", "ranking-score", "env-seed",
         "roi-sim-pairs-0", "synth-spec-not-object",
-        "synth-spec-strengths-not-list", "synth-spec-field-type"])
+        "synth-spec-strengths-not-list", "synth-spec-field-type",
+        "score-hscore-ridge-0", "select-hscore-ridge-0"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv,
-                              detail):
+                              error, detail):
     code, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
     assert code == 2
     assert out == ""
-    assert err.startswith("ERROR InvalidSpec: ")
+    assert err.startswith(f"ERROR {error}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert detail in err
+
+
+# printed by the solver before its N x N steps ran in row blocks
+GOLDEN_SELECT_OTCE = """\
+# config: {"command": "select", "hscore_features": "target", \
+"hscore_params": {"ridge": 1e-08}, "metric": "otce", \
+"no_modality_match_policy": "error", "pairing_mode": "paired", \
+"path": "baseline", "roi_keep_classes": 1, \
+"sampler": {"max_pixels": 256, "seed": 42}, "scores_file": null, \
+"seed": 42, "sinkhorn_params": {"epsilon": 0.1, "marginal_tol": 1e-09, \
+"max_iters": 1000}, "sources": "pool", \
+"ssim_params": {"dynamic_range": 1.0, "k1": 0.01, "k2": 0.03}, \
+"ssim_seed": 42, "target": "pool/synth-05-s1.00", "top_k": 5}
+1,synth-04-s0.80,-0.421732
+2,synth-03-s0.60,-0.564943
+3,synth-02-s0.40,-0.578867
+4,synth-01-s0.20,-0.594248
+5,synth-00-s0.00,-0.597749
+"""
+
+
+def test_select_otce_golden_output(tmp_path, capsys, monkeypatch):
+    # a guard for solver refactors: the printed OTCE ranking of the default
+    # synth pool must not move at 6 dp
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    _write_default_synth_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--format", "csv", "select", "--path",
+                         "baseline", "--metric", "otce", "--max-pixels",
+                         "256", "--top-k", "5", "--target",
+                         "pool/synth-05-s1.00", "--sources", "pool")
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_SELECT_OTCE
 
 
 class TestGlobalFlags:

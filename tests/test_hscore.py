@@ -84,6 +84,13 @@ class TestClassification:
         with pytest.raises(NonFiniteFeatureError):
             hscore_classification(bad, np.array([0, 1]))
 
+    def test_singular_covariance_without_ridge(self):
+        # both channels equal: the covariance has rank 1 and no ridge
+        feats = np.repeat(np.array([[0.0], [1.0], [3.0], [1.0]]), 2, axis=1)
+        with pytest.raises(DegenerateInputError, match="ridge 0"):
+            hscore_classification(feats, np.array([0, 1, 0, 1]),
+                                  HScoreParams(ridge=0.0))
+
 
 class TestSegmentation:
     def test_constant_labels_everywhere(self):

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from xfersel.bundle import LabelMaskSet, PixelFeatureSet, SubsampleSpec
 from xfersel.errors import (
     DimensionMismatchError,
+    InvalidSpecError,
     LengthMismatchError,
     NonFiniteCostError,
 )
@@ -23,11 +25,15 @@ from xfersel.otce import (
 from oracles import (
     conditional_entropy_reference,
     cost_reference,
+    cost_whole_matrix_reference,
     joint_reference,
     otce_reference,
     sinkhorn_log_reference,
     sinkhorn_reference,
+    sinkhorn_whole_matrix_reference,
 )
+
+otce_module = importlib.import_module("xfersel.otce")
 
 
 def feature_set(features, masks, task_id="t"):
@@ -59,6 +65,15 @@ class TestCostMatrix:
         rng = np.random.Generator(np.random.Philox(21))
         pts = rng.standard_normal((40, 2)) * 1e-8
         assert cost_matrix(pts, pts).min() >= 0.0
+
+    def test_row_blocks_match_whole_matrix(self, monkeypatch):
+        # 3-row blocks over 10 rows: three full blocks and a ragged one
+        monkeypatch.setattr(otce_module, "_BLOCK_BYTES", 3 * 8 * 7)
+        rng = np.random.Generator(np.random.Philox(38))
+        src = rng.standard_normal((10, 3))
+        tgt = np.concatenate([src[:2], rng.standard_normal((5, 3))])
+        np.testing.assert_array_equal(cost_matrix(src, tgt),
+                                      cost_whole_matrix_reference(src, tgt))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -131,6 +146,26 @@ class TestSinkhorn:
                 absorbed = sinkhorn(cost, SinkhornParams(epsilon=0.02))
             assert absorbed.iterations_used == base.iterations_used
             assert np.abs(absorbed.coupling - base.coupling).max() <= 1e-12
+
+    @pytest.mark.parametrize("epsilon, max_iters", [
+        (0.1, 1000), (0.005, 1000), (0.01, 7)],
+        ids=["converged", "absorbing", "budget-bound"])
+    def test_row_blocks_match_whole_matrix_solver(self, monkeypatch, epsilon,
+                                                  max_iters):
+        # 4-row blocks over 11 rows: the set-up, the column sums and every
+        # kernel rebuild cross block edges, a ragged last block included
+        monkeypatch.setattr(otce_module, "_BLOCK_BYTES", 4 * 8 * 13)
+        rng = np.random.Generator(np.random.Philox(39))
+        cost = cost_matrix(rng.standard_normal((11, 2)),
+                           rng.standard_normal((13, 2)) + 0.5)
+        given = cost.copy()
+        plan = sinkhorn(cost, SinkhornParams(epsilon=epsilon,
+                                             max_iters=max_iters))
+        expected, sweeps = sinkhorn_whole_matrix_reference(
+            cost, epsilon, max_iters=max_iters)
+        assert plan.iterations_used == sweeps
+        np.testing.assert_array_equal(plan.coupling, expected)
+        np.testing.assert_array_equal(cost, given)
 
     def test_feasibility_on_random_costs(self):
         rng = np.random.Generator(np.random.Philox(24))
@@ -332,6 +367,36 @@ class TestOtcePipeline:
                           rng.integers(0, 2, (1, 2, 2)), "t")
         with pytest.raises(DimensionMismatchError):
             otce(src, tgt)
+
+    def test_pair_holds_two_arrays(self):
+        # cost and kernel are the only 1024 x 1024 float64 arrays of a pair;
+        # every other N x N step runs in row blocks
+        rng = np.random.Generator(np.random.Philox(40))
+        src = feature_set(rng.standard_normal((4, 16, 16, 4)),
+                          rng.integers(0, 3, (4, 16, 16)), "s")
+        tgt = feature_set(rng.standard_normal((4, 16, 16, 4)),
+                          rng.integers(0, 3, (4, 16, 16)), "t")
+        sampler = SubsampleSpec(max_pixels=1024)
+        tracemalloc.start()
+        try:
+            otce(src, tgt, sampler, SinkhornParams(max_iters=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 1024 * 1024 * 8
+
+    def test_memory_estimate_over_physical_memory(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(41))
+        fs = feature_set(rng.standard_normal((1, 4, 4, 2)),
+                         rng.integers(0, 2, (1, 4, 4)), "s")
+        pair = 2 * 9 * 9 * 8  # cost and kernel, 9 x 9 pixels each
+        monkeypatch.setattr(otce_module, "physical_memory_bytes",
+                            lambda: pair - 1)
+        with pytest.raises(InvalidSpecError, match="--max-pixels"):
+            otce(fs, fs, SubsampleSpec(max_pixels=9))
+        monkeypatch.setattr(otce_module, "physical_memory_bytes",
+                            lambda: pair)
+        assert otce(fs, fs, SubsampleSpec(max_pixels=9)).score <= 1e-9
 
     def test_report_carries_sampler(self):
         rng = np.random.Generator(np.random.Philox(34))

@@ -1,8 +1,11 @@
+import importlib
+
 import pytest
 
 from xfersel import fixtures
-from xfersel.bundle import TaskDescriptor
+from xfersel.bundle import SubsampleSpec, TaskDescriptor
 from xfersel.errors import (
+    InvalidSpecError,
     MissingFeaturesError,
     NoCompatibleSourceError,
     UnknownTaskError,
@@ -179,6 +182,48 @@ class TestSelect:
         with pytest.raises(NoCompatibleSourceError):
             select([target], target, SelectionConfig(
                 path=SelectionPath.BASELINE, metric=Metric.OTCE))
+
+    @pytest.mark.parametrize("path", [SelectionPath.GUIDED,
+                                      SelectionPath.BASELINE])
+    def test_otce_flattens_target_once(self, monkeypatch, path):
+        otce_module = importlib.import_module("xfersel.otce")
+        flatten = otce_module.flatten_pixels
+        calls = []
+
+        def counted(fs, sampler):
+            calls.append(fs.task_id)
+            return flatten(fs, sampler)
+
+        monkeypatch.setattr(otce_module, "flatten_pixels", counted)
+        target = make_bundle("ET-9-T2", n=2, h=4, w=4, c=2, seed=80)
+        pool = [make_bundle(f"ED-{i}-T2", n=2, h=4, w=4, c=2, seed=81 + i)
+                for i in range(3)]
+        pool.append(make_bundle("NCR-1-T2", n=2, h=4, w=4, c=2, seed=84))
+        cfg = SelectionConfig(path=path, metric=Metric.OTCE, top_k=4,
+                              sampler=SubsampleSpec(max_pixels=20))
+        report = select(pool, target, cfg)
+        assert len(calls) == len(report.subset2) + 1
+        assert calls.count(target.task_id) == 1
+
+    def test_otce_memory_estimate_counts_concurrent_pairs(self, monkeypatch):
+        otce_module = importlib.import_module("xfersel.otce")
+        target = make_bundle("ET-9-T2", n=2, h=4, w=4, c=2, seed=85)
+        pool = [make_bundle(f"ED-{i}-T2", n=2, h=4, w=4, c=2, seed=86 + i)
+                for i in range(3)]
+        pair = 2 * 32 * 32 * 8  # cost and kernel of one 32 x 32 pixel pair
+        monkeypatch.setattr(otce_module, "physical_memory_bytes",
+                            lambda: 2 * pair)
+
+        def run(threads):
+            return select(pool, target, SelectionConfig(
+                path=SelectionPath.BASELINE, metric=Metric.OTCE,
+                threads=threads))
+
+        assert run(2).per_source_scores == run(1).per_source_scores
+        with pytest.raises(InvalidSpecError, match="--max-pixels"):
+            run(3)
+        with pytest.raises(InvalidSpecError, match="--max-pixels"):
+            run(8)
 
     def test_deterministic_report_json(self):
         sources, target = fixtures.benchmark_pool("ET-20-T1")
