@@ -189,9 +189,6 @@ class SubsampleSpec:
         if not 0 <= self.seed < 2**64:
             raise InvalidSpecError("seed must fit in 64 unsigned bits")
 
-    def to_dict(self) -> dict:
-        return {"max_pixels": self.max_pixels, "seed": self.seed}
-
 
 # ---------------------------------------------------------------------------
 # binary codecs
@@ -205,8 +202,16 @@ def _encode_array(magic: bytes, arr: np.ndarray, dtype: np.dtype) -> bytes:
     return header + payload
 
 
-def _decode_array(raw: bytes, magic: bytes, ndim: int, dtype: np.dtype,
-                  name: str) -> np.ndarray:
+def _read_array(file: Path, role: str, magic: bytes, ndim: int,
+                dtype: np.dtype) -> np.ndarray:
+    """Read and decode one binary file a manifest references."""
+    if not file.is_file():
+        raise MissingManifestError(f"referenced {role} file missing: {file}")
+    try:
+        raw = file.read_bytes()
+    except OSError as exc:
+        raise IoFailureError(str(exc)) from exc
+    name = file.name
     head_len = 4 + 2 + 1 + 8 * ndim
     if len(raw) < head_len:
         raise CorruptBinaryError(f"{name}: file shorter than header")
@@ -294,14 +299,8 @@ def load_bundle(path: str | Path) -> TaskBundle:
     )
 
     files = manifest["files"]
-    labels_file = path / files.get("labels", LABELS_NAME)
-    if not labels_file.is_file():
-        raise MissingManifestError(f"referenced labels file missing: {labels_file}")
-    try:
-        raw = labels_file.read_bytes()
-    except OSError as exc:
-        raise IoFailureError(str(exc)) from exc
-    masks = _decode_array(raw, LABELS_MAGIC, 3, np.uint8, labels_file.name)
+    masks = _read_array(path / files.get("labels", LABELS_NAME), "labels",
+                        LABELS_MAGIC, 3, np.uint8)
 
     declared = (manifest["n_samples"], manifest["height"], manifest["width"])
     if tuple(masks.shape) != tuple(declared):
@@ -313,16 +312,8 @@ def load_bundle(path: str | Path) -> TaskBundle:
 
     features = None
     if "features" in files:
-        feat_file = path / files["features"]
-        if not feat_file.is_file():
-            raise MissingManifestError(
-                f"referenced features file missing: {feat_file}")
-        try:
-            raw = feat_file.read_bytes()
-        except OSError as exc:
-            raise IoFailureError(str(exc)) from exc
-        feats = _decode_array(raw, FEATURES_MAGIC, 4, np.dtype("<f4"),
-                              feat_file.name)
+        feats = _read_array(path / files["features"], "features",
+                            FEATURES_MAGIC, 4, np.dtype("<f4"))
         if feats.shape[:3] != masks.shape:
             raise ShapeMismatchError(
                 f"features {feats.shape} do not align with labels {masks.shape}")

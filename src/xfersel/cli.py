@@ -1,7 +1,7 @@
 """Batch-oriented command line interface.
 
 Exit codes: 0 success, 2 validation or I/O failure, 3 no compatible source.
-Library failures print a single ``ERROR <code>: <detail>`` line on stderr.
+Library failures and usage errors print one ``ERROR <code>: <detail>`` line.
 All floating-point output uses 6 decimal places with a ``.`` separator.
 Every run echoes its effective configuration (a ``# config:`` line in csv
 format, a ``config`` object in json format); the echo excludes ``--threads``
@@ -14,11 +14,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bundle import SubsampleSpec, TaskBundle, load_bundle, write_bundle
 from .errors import (
-    DimensionMismatchError,
     InvalidSpecError,
     IoFailureError,
     MissingFeaturesError,
@@ -26,8 +26,9 @@ from .errors import (
     XferselError,
 )
 from .fixtures import read_scores_csv
+# unused here, but bench/layers.py traces xfersel.cli.hscore_segmentation
 from .hscore import HScoreParams, hscore_segmentation
-from .otce import SinkhornParams, otce
+from .otce import SinkhornParams
 from .pipeline import (
     HScoreFeatures,
     Metric,
@@ -35,6 +36,7 @@ from .pipeline import (
     SelectionConfig,
     SelectionPath,
     map_sources,
+    score_pair,
     select,
 )
 from .ranking import (
@@ -122,36 +124,24 @@ def cmd_roi_sim(args) -> int:
 def cmd_score(args) -> int:
     source = load_bundle(args.source)
     target = load_bundle(args.target)
-    sampler = SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed)
+    cfg = SelectionConfig(
+        metric=Metric(args.metric),
+        sinkhorn_params=SinkhornParams(epsilon=args.epsilon),
+        hscore_params=HScoreParams(ridge=args.ridge),
+        sampler=SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed))
     config = {"command": "score", "metric": args.metric,
               "source": str(args.source), "target": str(args.target),
               "max_pixels": args.max_pixels, "seed": args.seed,
               "epsilon": args.epsilon, "ridge": args.ridge}
-    if args.metric == "otce":
-        if source.features is None or target.features is None:
-            raise MissingFeaturesError("otce needs features on both bundles")
-        rep = otce(source.features, target.features, sampler,
-                   SinkhornParams(epsilon=args.epsilon))
+    rep = score_pair(source, target, cfg)
+    if cfg.metric is Metric.OTCE:
         result = {"otce": rep.score, "ot_cost": rep.ot_cost,
                   "sinkhorn_iterations": rep.iterations_used,
-                  "sinkhorn_residual": rep.final_marginal_error,
-                  "source": rep.source_id, "target": rep.target_id}
+                  "sinkhorn_residual": rep.final_marginal_error}
     else:
-        # the target bundle must carry the source model's feature export;
-        # the source bundle only cross-checks the channel count
-        if target.features is None:
-            raise MissingFeaturesError("hscore needs features on the target bundle")
-        if source.features is not None and \
-                source.features.channels != target.features.channels:
-            raise DimensionMismatchError(
-                f"channel counts differ: {source.features.channels} vs "
-                f"{target.features.channels}")
-        rep = hscore_segmentation(target.features, HScoreParams(ridge=args.ridge),
-                                  source_id=source.task_id,
-                                  target_id=target.task_id)
-        result = {"hscore": rep.score, "skipped_pixels": rep.skipped_pixels,
-                  "source": rep.source_id, "target": rep.target_id}
-    _emit(args, config, result)
+        result = {"hscore": rep.score, "skipped_pixels": rep.skipped_pixels}
+    _emit(args, config,
+          {**result, "source": rep.source_id, "target": rep.target_id})
     return 0
 
 
@@ -233,7 +223,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     for b in bundles:
         write_bundle(b, out / b.task_id)
-    config = {"command": "synth", "out": str(args.out), "spec": spec.to_dict()}
+    config = {"command": "synth", "out": str(args.out), "spec": asdict(spec)}
     _emit(args, config,
           {"created": len(bundles), "tasks": [b.task_id for b in bundles]},
           [f"created,{len(bundles)}"] + [f"task,{b.task_id}" for b in bundles])
@@ -291,6 +281,13 @@ def cmd_synth_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (and subparsers) whose usage errors are InvalidSpec lines."""
+
+    def error(self, message):
+        raise InvalidSpecError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     env_seed = os.environ.get("XFERSEL_SEED")
     try:
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         raise InvalidSpecError(
             f"XFERSEL_SEED must be an integer, got {env_seed!r}") from None
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xfersel",
         description="Source task selection for segmentation transfer learning")
     parser.add_argument("--seed", type=int, default=default_seed,

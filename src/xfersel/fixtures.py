@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import InvalidSpecError, UnknownTaskError
+from .errors import InvalidSpecError, IoFailureError, UnknownTaskError
 
 TARGETS = ("ET-22-T2", "ET-20-T1")
 
@@ -112,7 +112,7 @@ def read_scores_csv(path) -> dict[str, dict[str, float]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InvalidSpecError(f"cannot read scores file {path}: {exc}") from exc
+        raise IoFailureError(str(exc)) from exc
     reader = csv.DictReader(text.splitlines())
     if reader.fieldnames is None or "task_id" not in reader.fieldnames:
         raise InvalidSpecError(f"{path}: scores file needs a task_id column")

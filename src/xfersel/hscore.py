@@ -50,9 +50,6 @@ class HScoreParams:
         if self.ridge < 0:
             raise InvalidSpecError("ridge must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {"ridge": self.ridge}
-
 
 @dataclass(frozen=True)
 class HScoreReport:

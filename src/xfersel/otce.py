@@ -37,10 +37,6 @@ class SinkhornParams:
         if self.max_iters < 1:
             raise InvalidSpecError("max_iters must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "max_iters": self.max_iters,
-                "marginal_tol": self.marginal_tol}
-
 
 @dataclass(frozen=True)
 class TransportPlan:

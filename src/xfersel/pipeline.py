@@ -11,40 +11,47 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bundle import LabelMaskSet, SubsampleSpec, TaskBundle, TaskDescriptor
+from .bundle import (
+    LabelMaskSet,
+    PixelFeatureSet,
+    SubsampleSpec,
+    TaskBundle,
+    TaskDescriptor,
+)
 from .errors import (
+    DimensionMismatchError,
     InvalidSpecError,
     MissingFeaturesError,
     MissingLabelsError,
     NoCompatibleSourceError,
     UnknownTaskError,
 )
-from .hscore import HScoreParams, hscore_segmentation
-from .otce import SinkhornParams, otce, otce_target
+from .hscore import HScoreParams, HScoreReport, hscore_segmentation
+from .otce import OtceReport, SinkhornParams, otce, otce_target
 from .ranking import Ranking, build_ranking
 from .roisim import PairingMode, SsimParams, resample_nearest, roi_sim
 
 
-class SelectionPath(enum.Enum):
+class SelectionPath(str, enum.Enum):
     GUIDED = "guided"
     BASELINE = "baseline"
 
 
-class Metric(enum.Enum):
+class Metric(str, enum.Enum):
     HSCORE = "hscore"
     OTCE = "otce"
 
 
-class NoMatchPolicy(enum.Enum):
+class NoMatchPolicy(str, enum.Enum):
     ERROR = "error"
     FALLBACK_ALL = "fallback-all"
 
 
-class HScoreFeatures(enum.Enum):
+class HScoreFeatures(str, enum.Enum):
     """Which bundle's feature export feeds the pixel-wise H-score.
 
     TARGET evaluates the target bundle's feature map (the faithful pairwise
@@ -82,20 +89,10 @@ class SelectionConfig:
             raise InvalidSpecError("roi_keep_classes must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path.value,
-            "metric": self.metric.value,
-            "top_k": self.top_k,
-            "roi_keep_classes": self.roi_keep_classes,
-            "no_modality_match_policy": self.no_modality_match_policy.value,
-            "hscore_params": self.hscore_params.to_dict(),
-            "sinkhorn_params": self.sinkhorn_params.to_dict(),
-            "sampler": self.sampler.to_dict(),
-            "ssim_params": self.ssim_params.to_dict(),
-            "pairing_mode": self.pairing_mode.value,
-            "ssim_seed": self.ssim_seed,
-            "hscore_features": self.hscore_features.value,
-        }
+        """Every field but ``threads``, which must not change the output."""
+        echo = asdict(self)
+        del echo["threads"]
+        return echo
 
 
 @dataclass(frozen=True)
@@ -202,32 +199,48 @@ def roi_filter(subset1: list[TaskBundle], target: TaskBundle,
     return subset2, scores
 
 
+def _features(metric: Metric, bundle: TaskBundle) -> PixelFeatureSet:
+    if bundle.features is None:
+        raise MissingFeaturesError(
+            f"{metric.value} needs features on {bundle.task_id}")
+    return bundle.features
+
+
+def score_pair(source: TaskBundle, target: TaskBundle, cfg: SelectionConfig,
+               target_pixels: tuple[np.ndarray, np.ndarray] | None = None,
+               ) -> OtceReport | HScoreReport:
+    """The ``cfg.metric`` report of one source for the target.
+
+    ``target_pixels`` is the target as :func:`otce_target` flattened it.
+    The H-score reads the export ``cfg.hscore_features`` names; a target
+    export should come from the source's model, so the channels must agree.
+    """
+    if cfg.metric is Metric.OTCE:
+        return otce(_features(cfg.metric, source),
+                    _features(cfg.metric, target), cfg.sampler,
+                    cfg.sinkhorn_params, target_pixels)
+    own = cfg.hscore_features is HScoreFeatures.SOURCE
+    fs = _features(cfg.metric, source if own else target)
+    if source.features is not None and source.features.channels != fs.channels:
+        raise DimensionMismatchError(
+            f"channel counts differ: {source.features.channels} vs "
+            f"{fs.channels}")
+    return hscore_segmentation(fs, cfg.hscore_params,
+                               source_id=source.task_id,
+                               target_id=target.task_id)
+
+
 def _metric_scores(sources: list[TaskBundle], target: TaskBundle,
                    cfg: SelectionConfig) -> list[float]:
     """The metric score of each source against the target, in pool order."""
+    pixels = None
     if cfg.metric is Metric.OTCE:
-        for b in sources:
-            if b.features is None or target.features is None:
-                raise MissingFeaturesError(
-                    f"otce needs features on {b.task_id} and {target.task_id}")
-        pixels = otce_target(target.features, [b.features for b in sources],
+        # the memory estimate and the one target flattening precede the pairs
+        pixels = otce_target(_features(cfg.metric, target),
+                             [_features(cfg.metric, b) for b in sources],
                              cfg.sampler, cfg.threads)
-        return map_sources(
-            lambda b: otce(b.features, target.features, cfg.sampler,
-                           cfg.sinkhorn_params, pixels).score,
-            sources, cfg.threads)
-    return map_sources(lambda b: _hscore(b, target, cfg), sources, cfg.threads)
-
-
-def _hscore(source: TaskBundle, target: TaskBundle,
-            cfg: SelectionConfig) -> float:
-    bundle = target if cfg.hscore_features is HScoreFeatures.TARGET else source
-    if bundle.features is None:
-        raise MissingFeaturesError(
-            f"hscore needs features on {bundle.task_id}")
-    return hscore_segmentation(bundle.features, cfg.hscore_params,
-                               source_id=source.task_id,
-                               target_id=target.task_id).score
+    return map_sources(lambda b: score_pair(b, target, cfg, pixels).score,
+                       sources, cfg.threads)
 
 
 def map_sources(fn, items, threads: int = 1) -> list:

@@ -24,29 +24,21 @@ from __future__ import annotations
 
 import numpy as np
 
-MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return (z ^ (z >> 31)) & MASK64
-
-
-def word(seed: int, index: int) -> int:
-    """The ``index``-th 64-bit word of the stream for ``seed``."""
-    return mix64((seed + (index + 1) * GOLDEN_GAMMA) & MASK64)
-
-
-def _words(seed: int, count: int) -> np.ndarray:
-    """``word(seed, i)`` for ``i < count`` as uint64, in wrapping arithmetic."""
-    z = np.uint64(seed) + np.arange(1, count + 1, dtype=np.uint64) \
+def _words(seed: int, indices: np.ndarray) -> np.ndarray:
+    """``word(seed, i)`` for each i of a uint64 array, in wrapping arithmetic."""
+    z = np.uint64(seed % 2**64) + (indices + np.uint64(1)) \
         * np.uint64(GOLDEN_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+def word(seed: int, index: int) -> int:
+    """The ``index``-th 64-bit word of the stream for ``seed``."""
+    return int(_words(seed, np.array([index], np.uint64))[0])
 
 
 def derive_seed(seed: int, tag: int) -> int:
@@ -65,7 +57,7 @@ def subsample_indices(n: int, k: int, seed: int) -> list[int]:
     if k >= n:
         return list(range(n))
     steps = np.arange(k, dtype=np.uint64)
-    draws = steps + _words(seed, k) % (np.uint64(n) - steps)
+    draws = steps + _words(seed, steps) % (np.uint64(n) - steps)
     swap: dict[int, int] = {}
     selected = []
     for i, j in enumerate(draws.tolist()):

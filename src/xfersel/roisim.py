@@ -31,7 +31,7 @@ from .rng import subsample_indices
 DEFAULT_MAX_PAIRS = 256
 
 
-class PairingMode(enum.Enum):
+class PairingMode(str, enum.Enum):
     PAIRED = "paired"
     MEAN = "mean"
 
@@ -53,10 +53,6 @@ class SsimParams:
     @property
     def c2(self) -> float:
         return (self.k2 * self.dynamic_range) ** 2
-
-    def to_dict(self) -> dict:
-        return {"k1": self.k1, "k2": self.k2,
-                "dynamic_range": self.dynamic_range}
 
 
 @dataclass(frozen=True)

@@ -71,13 +71,6 @@ class SynthSpec:
         if any(not 0.0 <= s <= 1.0 for s in self.signal_strengths):
             raise InvalidSpecError("signal strengths must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {"n_tasks": self.n_tasks, "n_samples": self.n_samples,
-                "height": self.height, "width": self.width,
-                "channels": self.channels,
-                "signal_strengths": list(self.signal_strengths),
-                "seed": self.seed}
-
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
         spec = dict(d)

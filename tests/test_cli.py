@@ -65,6 +65,21 @@ class TestRoiSimCmd:
         expected = roi_sim(a.labels, b.labels, mode=PairingMode.MEAN).score
         assert f"roi_sim,{expected:.6f}" in out
 
+    def test_seed_wraps_mod_2_64(self, tmp_path, capsys):
+        # a negative --seed used to overflow the vectorised pair draw
+        write_bundle(make_bundle(n=12, h=4, w=4, seed=1), tmp_path / "a")
+        write_bundle(make_bundle(n=12, h=4, w=4, seed=2), tmp_path / "b")
+        results = []
+        for seed in ("-1", str(2**64 - 1)):
+            code, out, err = run(capsys, "--seed", seed, "roi-sim",
+                                 "--source", str(tmp_path / "a"),
+                                 "--target", str(tmp_path / "b"),
+                                 "--pairs", "5")
+            assert (code, err) == (0, "")
+            results.append(out.splitlines()[1:])
+        assert results[0] == results[1]
+        assert "n_pairs,5" in results[0]
+
 
 class TestScoreCmd:
     def test_otce_single_class_target(self, tmp_path, capsys):
@@ -418,6 +433,48 @@ def _hscore_ridge_zero(command):
     return argv
 
 
+def _mixed_channel_pool(tmp_path, monkeypatch):
+    # sources export 4 channels and the target 8, so the target's export
+    # cannot come from either source's extractor
+    small = dict(n_samples=4, height=8, width=8)
+    sources = generate_tasks(SynthSpec(n_tasks=2, channels=4,
+                                       signal_strengths=(0.2, 1.0), **small))
+    target = generate_tasks(SynthSpec(n_tasks=1, channels=8,
+                                      signal_strengths=(0.6,), **small))[0]
+    for b in sources:
+        write_bundle(b, tmp_path / "pool" / b.task_id)
+    write_bundle(target, tmp_path / "target")
+    return ["select", "--path", "baseline", "--metric", "hscore",
+            "--target", str(tmp_path / "target"),
+            "--sources", str(tmp_path / "pool")]
+
+
+def _score_featureless_source(tmp_path, monkeypatch):
+    write_bundle(make_bundle("ED-1-T2", with_features=False), tmp_path / "s")
+    write_bundle(make_bundle("ET-9-T2"), tmp_path / "t")
+    return ["score", "--metric", "otce", "--source", str(tmp_path / "s"),
+            "--target", str(tmp_path / "t")]
+
+
+def _scores_file_missing(tmp_path, monkeypatch):
+    pool_dir, target_dir, _ = write_pool(tmp_path)
+    return ["select", "--target", str(target_dir), "--sources", str(pool_dir),
+            "--metric", "otce", "--scores-file", str(tmp_path / "none.csv")]
+
+
+def _score_hscore_epsilon_0(tmp_path, monkeypatch):
+    # score validates every metric parameter it echoes, as select does
+    write_bundle(make_bundle(), tmp_path / "b")
+    return ["score", "--metric", "hscore", "--epsilon", "0",
+            "--source", str(tmp_path / "b"), "--target", str(tmp_path / "b")]
+
+
+def _usage(*argv):
+    def make_argv(tmp_path, monkeypatch):
+        return list(argv)
+    return make_argv
+
+
 @pytest.mark.parametrize("make_argv, error, detail", [
     (_scores_cell_not_numeric, "InvalidSpec", ""),
     (_bad_ranking_row("b,0.5,two"), "InvalidSpec", ""),
@@ -430,10 +487,24 @@ def _hscore_ridge_zero(command):
     (_synth_spec('{"n_tasks": "x"}'), "InvalidSpec", "n_tasks"),
     (_hscore_ridge_zero("score"), "DegenerateInput", "singular at ridge 0"),
     (_hscore_ridge_zero("select"), "DegenerateInput", "singular at ridge 0"),
+    (_usage("score", "--metric", "otce", "--source", "s", "--target", "t",
+            "--max-pixels", "abc"), "InvalidSpec", "--max-pixels"),
+    (_usage("score", "--source", "s", "--target", "t"), "InvalidSpec",
+     "--metric"),
+    (_usage("frobnicate"), "InvalidSpec", "frobnicate"),
+    (_scores_file_missing, "IoFailure", "none.csv"),
+    (_mixed_channel_pool, "DimensionMismatch", "channel counts differ"),
+    (_score_featureless_source, "MissingFeatures",
+     "otce needs features on ED-1-T2"),
+    (_score_hscore_epsilon_0, "InvalidSpec", "epsilon must be > 0"),
 ], ids=["scores-cell", "ranking-rank", "ranking-score", "env-seed",
         "roi-sim-pairs-0", "synth-spec-not-object",
         "synth-spec-strengths-not-list", "synth-spec-field-type",
-        "score-hscore-ridge-0", "select-hscore-ridge-0"])
+        "score-hscore-ridge-0", "select-hscore-ridge-0",
+        "usage-max-pixels-not-int", "usage-metric-missing",
+        "usage-unknown-command", "scores-file-missing",
+        "select-hscore-mixed-channels", "score-otce-featureless-source",
+        "score-hscore-epsilon-0"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv,
                               error, detail):
     code, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
@@ -475,6 +546,92 @@ def test_select_otce_golden_output(tmp_path, capsys, monkeypatch):
                          "pool/synth-05-s1.00", "--sources", "pool")
     assert (code, err) == (0, "")
     assert out == GOLDEN_SELECT_OTCE
+
+
+# printed at the parent of the one metric dispatch for score and select
+GOLDEN_SCORE = {
+    "otce": """\
+# config: {"command": "score", "epsilon": 0.1, "max_pixels": 256, \
+"metric": "otce", "ridge": 1e-08, "seed": 42, \
+"source": "pool/synth-00-s0.00", "target": "pool/synth-05-s1.00"}
+otce,-0.597749
+ot_cost,3.695631
+sinkhorn_iterations,103
+sinkhorn_residual,0.000000
+source,synth-00-s0.00
+target,synth-05-s1.00
+""",
+    "hscore": """\
+# config: {"command": "score", "epsilon": 0.1, "max_pixels": 4096, \
+"metric": "hscore", "ridge": 1e-08, "seed": 42, \
+"source": "pool/synth-00-s0.00", "target": "pool/synth-05-s1.00"}
+hscore,0.998047
+skipped_pixels,2
+source,synth-00-s0.00
+target,synth-05-s1.00
+""",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--metric", "otce", "--max-pixels", "256"], ["--metric", "hscore"]],
+    ids=["otce", "hscore"])
+def test_score_golden_output(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    _write_default_synth_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--format", "csv", "score", *argv,
+                         "--source", "pool/synth-00-s0.00",
+                         "--target", "pool/synth-05-s1.00")
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_SCORE[argv[1]]
+
+
+GOLDEN_SYNTH_JSON = """\
+{
+  "config": {
+    "command": "synth",
+    "out": "tasks",
+    "spec": {
+      "channels": 4,
+      "height": 32,
+      "n_samples": 16,
+      "n_tasks": 6,
+      "seed": 42,
+      "signal_strengths": [
+        0.0,
+        0.2,
+        0.4,
+        0.6,
+        0.8,
+        1.0
+      ],
+      "width": 32
+    }
+  },
+  "result": {
+    "created": 6,
+    "tasks": [
+      "synth-00-s0.00",
+      "synth-01-s0.20",
+      "synth-02-s0.40",
+      "synth-03-s0.60",
+      "synth-04-s0.80",
+      "synth-05-s1.00"
+    ]
+  }
+}
+"""
+
+
+def test_synth_json_golden_output(tmp_path, capsys, monkeypatch):
+    # the spec echo is every SynthSpec field, as printed before it was
+    # derived from the dataclass
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--format", "json", "synth", "--out", "tasks")
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_SYNTH_JSON
 
 
 class TestGlobalFlags:

@@ -10,13 +10,17 @@ from xfersel.errors import (
     NoCompatibleSourceError,
     UnknownTaskError,
 )
+from xfersel.hscore import HScoreParams, hscore_segmentation
+from xfersel.otce import SinkhornParams, otce
 from xfersel.pipeline import (
+    HScoreFeatures,
     Metric,
     NoMatchPolicy,
     SelectionConfig,
     SelectionPath,
     modality_filter,
     roi_filter,
+    score_pair,
     select,
 )
 
@@ -165,7 +169,7 @@ class TestSelect:
         assert r1.to_json() == r4.to_json()
 
     @pytest.mark.parametrize("path", [SelectionPath.GUIDED,
-                                      SelectionPath.BASELINE])
+                                      SelectionPath.BASELINE], ids=str)
     def test_target_in_pool_is_dropped(self, path):
         target = make_bundle("ET-9-T2", n=2, h=4, w=4, c=2, seed=70)
         others = [make_bundle(f"ED-{i}-T2", n=2, h=4, w=4, c=2, seed=71 + i)
@@ -184,7 +188,7 @@ class TestSelect:
                 path=SelectionPath.BASELINE, metric=Metric.OTCE))
 
     @pytest.mark.parametrize("path", [SelectionPath.GUIDED,
-                                      SelectionPath.BASELINE])
+                                      SelectionPath.BASELINE], ids=str)
     def test_otce_flattens_target_once(self, monkeypatch, path):
         otce_module = importlib.import_module("xfersel.otce")
         flatten = otce_module.flatten_pixels
@@ -244,3 +248,27 @@ class TestSelect:
                                           metric=Metric.HSCORE, top_k=4),
                           scores=scores)
         assert guided.final_ranking.entries == baseline.final_ranking.entries
+
+
+class TestScorePair:
+    source = make_bundle("ED-1-T2", n=3, h=4, w=4, c=2, seed=90)
+    target = make_bundle("ET-9-T2", n=3, h=4, w=4, c=2, seed=91)
+
+    def test_otce_report_is_the_direct_call(self):
+        sampler = SubsampleSpec(max_pixels=20, seed=5)
+        params = SinkhornParams(epsilon=0.5)
+        cfg = SelectionConfig(metric=Metric.OTCE, sampler=sampler,
+                              sinkhorn_params=params)
+        assert score_pair(self.source, self.target, cfg) == \
+            otce(self.source.features, self.target.features, sampler, params)
+
+    @pytest.mark.parametrize("side", list(HScoreFeatures))
+    def test_hscore_report_is_the_direct_call(self, side):
+        params = HScoreParams(ridge=1e-3)
+        cfg = SelectionConfig(metric=Metric.HSCORE, hscore_params=params,
+                              hscore_features=side)
+        bundle = self.target if side is HScoreFeatures.TARGET else self.source
+        assert score_pair(self.source, self.target, cfg) == \
+            hscore_segmentation(bundle.features, params,
+                                source_id=self.source.task_id,
+                                target_id=self.target.task_id)
