@@ -16,6 +16,8 @@ share across threads.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,34 +206,43 @@ def _encode_array(magic: bytes, arr: np.ndarray, dtype: np.dtype) -> bytes:
 
 def _read_array(file: Path, role: str, magic: bytes, ndim: int,
                 dtype: np.dtype) -> np.ndarray:
-    """Read and decode one binary file a manifest references."""
+    """Read and decode one binary file a manifest references.
+
+    The payload is read into a new array, which numpy aligns whatever the
+    header length; a view at the header's offset would not be.  The payload
+    length is checked against the dims before anything is allocated.
+    """
     if not file.is_file():
         raise MissingManifestError(f"referenced {role} file missing: {file}")
-    try:
-        raw = file.read_bytes()
-    except OSError as exc:
-        raise IoFailureError(str(exc)) from exc
     name = file.name
     head_len = 4 + 2 + 1 + 8 * ndim
-    if len(raw) < head_len:
-        raise CorruptBinaryError(f"{name}: file shorter than header")
-    got_magic, version, got_ndim = struct.unpack_from("<4sHB", raw, 0)
-    if got_magic != magic:
-        raise CorruptBinaryError(f"{name}: bad magic {got_magic!r}")
-    if version != FORMAT_VERSION:
-        raise CorruptBinaryError(f"{name}: unsupported version {version}")
-    if got_ndim != ndim:
-        raise CorruptBinaryError(f"{name}: expected ndim {ndim}, got {got_ndim}")
-    dims = struct.unpack_from(f"<{ndim}Q", raw, 7)
-    count = 1
-    for d in dims:
-        count *= d
-    expected = head_len + count * np.dtype(dtype).itemsize
-    if len(raw) != expected:
-        raise CorruptBinaryError(
-            f"{name}: payload length {len(raw) - head_len} does not match "
-            f"dims {dims}")
-    return np.frombuffer(raw, dtype=dtype, offset=head_len).reshape(dims)
+    try:
+        with open(file, "rb") as fh:
+            head = fh.read(head_len)
+            if len(head) < head_len:
+                raise CorruptBinaryError(f"{name}: file shorter than header")
+            got_magic, version, got_ndim = struct.unpack_from("<4sHB", head, 0)
+            if got_magic != magic:
+                raise CorruptBinaryError(f"{name}: bad magic {got_magic!r}")
+            if version != FORMAT_VERSION:
+                raise CorruptBinaryError(
+                    f"{name}: unsupported version {version}")
+            if got_ndim != ndim:
+                raise CorruptBinaryError(
+                    f"{name}: expected ndim {ndim}, got {got_ndim}")
+            dims = struct.unpack_from(f"<{ndim}Q", head, 7)
+            expected = math.prod(dims) * np.dtype(dtype).itemsize
+            length = os.fstat(fh.fileno()).st_size - head_len
+            if length == expected:
+                arr = np.empty(dims, dtype=dtype)
+                length = fh.readinto(arr)
+            if length != expected:
+                raise CorruptBinaryError(
+                    f"{name}: payload length {length} does not match "
+                    f"dims {dims}")
+    except OSError as exc:
+        raise IoFailureError(str(exc)) from exc
+    return arr
 
 
 # ---------------------------------------------------------------------------

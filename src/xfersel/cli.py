@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 validation or I/O failure, 3 no compatible source.
 Library failures and usage errors print one ``ERROR <code>: <detail>`` line.
-All floating-point output uses 6 decimal places with a ``.`` separator.
+All floating-point output uses 6 decimal places with a ``.`` separator,
+except ``score``'s Sinkhorn residual, in scientific notation.
 Every run echoes its effective configuration (a ``# config:`` line in csv
 format, a ``config`` object in json format); the echo excludes ``--threads``
 so output files are byte-identical at any parallelism.
@@ -52,13 +53,21 @@ from .synth import SynthSpec, generate_tasks, probe_transfer
 DEFAULT_SEED = 42
 
 
+class _Sci(float):
+    """A float printed in scientific notation, as 6 dp would round it to 0."""
+
+
 def _fmt(value) -> str:
+    if isinstance(value, _Sci):
+        return f"{value:.3e}"
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
 
 
 def _round_floats(obj):
+    if isinstance(obj, _Sci):
+        return float(_fmt(obj))
     if isinstance(obj, float):
         return round(obj, 6)
     if isinstance(obj, dict):
@@ -87,6 +96,12 @@ def _emit(args, config: dict, result: dict,
     sys.stdout.write(text)
     if args.output and args.command != "select":
         Path(args.output).write_text(text, encoding="utf-8")
+
+
+def _sampler(args) -> SubsampleSpec:
+    """The pixel sampler of --max-pixels and --seed, the seed taken mod 2**64
+    as every seeded command takes it; the echo keeps the seed as given."""
+    return SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed % 2**64)
 
 
 def _load_source_bundles(sources_dir: str) -> list[TaskBundle]:
@@ -128,7 +143,7 @@ def cmd_score(args) -> int:
         metric=Metric(args.metric),
         sinkhorn_params=SinkhornParams(epsilon=args.epsilon),
         hscore_params=HScoreParams(ridge=args.ridge),
-        sampler=SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed))
+        sampler=_sampler(args))
     config = {"command": "score", "metric": args.metric,
               "source": str(args.source), "target": str(args.target),
               "max_pixels": args.max_pixels, "seed": args.seed,
@@ -137,7 +152,7 @@ def cmd_score(args) -> int:
     if cfg.metric is Metric.OTCE:
         result = {"otce": rep.score, "ot_cost": rep.ot_cost,
                   "sinkhorn_iterations": rep.iterations_used,
-                  "sinkhorn_residual": rep.final_marginal_error}
+                  "sinkhorn_residual": _Sci(rep.final_marginal_error)}
     else:
         result = {"hscore": rep.score, "skipped_pixels": rep.skipped_pixels}
     _emit(args, config,
@@ -148,6 +163,7 @@ def cmd_score(args) -> int:
 def cmd_select(args) -> int:
     target = load_bundle(args.target)
     pool = _load_source_bundles(args.sources)
+    sampler = _sampler(args)
     cfg = SelectionConfig(
         path=SelectionPath(args.path),
         metric=Metric(args.metric),
@@ -157,8 +173,8 @@ def cmd_select(args) -> int:
                                   else NoMatchPolicy.ERROR),
         sinkhorn_params=SinkhornParams(epsilon=args.epsilon),
         hscore_params=HScoreParams(ridge=args.ridge),
-        sampler=SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed),
-        ssim_seed=args.seed,
+        sampler=sampler,
+        ssim_seed=sampler.seed,
         threads=args.threads,
     )
     scores = None
@@ -242,14 +258,13 @@ def cmd_synth_eval(args) -> int:
     # shared-extractor mode: each source's own export carries its signal
     cfg = SelectionConfig(
         path=SelectionPath.BASELINE, metric=Metric(args.metric),
-        hscore_features=HScoreFeatures.SOURCE,
-        sampler=SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed),
+        hscore_features=HScoreFeatures.SOURCE, sampler=_sampler(args),
         threads=args.threads)
     report = select(bundles, target, cfg)
     metric_rank = report.final_ranking
     sources = [by_id[t] for t in report.subset2]
     accuracies = map_sources(
-        lambda b: probe_transfer(b, target, seed=args.seed).accuracy,
+        lambda b: probe_transfer(b, target, seed=cfg.sampler.seed).accuracy,
         sources, args.threads)
     probe_rank = build_ranking([(b.task_id, a)
                                 for b, a in zip(sources, accuracies)])

@@ -242,8 +242,22 @@ def otce_from_joint(joint: JointLabelDistribution) -> float:
     return float(np.sum(table[mask] * np.log(table[mask] / row[mask])))
 
 
-def physical_memory_bytes() -> int:
-    """Bytes of physical memory on this machine, the bound on OTCE pairs."""
+MEMINFO = "/proc/meminfo"
+
+
+def available_memory_bytes() -> int:
+    """Bytes of memory available to new allocations, the bound on OTCE pairs.
+
+    This is the kernel's ``MemAvailable`` estimate; where ``MEMINFO`` cannot
+    be read or lacks it, physical memory.
+    """
+    try:
+        with open(MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -255,7 +269,7 @@ def otce_target(target: PixelFeatureSet, sources: list[PixelFeatureSet],
     Each pair holds two float64 N_s x N_t arrays (cost and kernel), so
     ``min(threads, len(sources))`` pairs at once need about
     ``2 * N_s * N_t * 8`` bytes each, from the post-subsample sizes.  When
-    that is more than physical memory this raises ``InvalidSpecError``
+    that is more than the available memory this raises ``InvalidSpecError``
     before anything is allocated.
     """
     def kept(fs):
@@ -264,12 +278,12 @@ def otce_target(target: PixelFeatureSet, sources: list[PixelFeatureSet],
     n_s, n_t = max(map(kept, sources)), kept(target)
     pairs = max(1, min(threads, len(sources)))
     need = 2 * n_s * n_t * 8 * pairs
-    have = physical_memory_bytes()
+    have = available_memory_bytes()
     if need > have:
         raise InvalidSpecError(
             f"OTCE needs about {need / 2**20:,.1f} MiB for {pairs} concurrent "
             f"{n_s} x {n_t} pixel pair(s), more than the "
-            f"{have / 2**20:,.1f} MiB of physical memory; lower --max-pixels")
+            f"{have / 2**20:,.1f} MiB of available memory; lower --max-pixels")
     return flatten_pixels(target, sampler)
 
 

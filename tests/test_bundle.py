@@ -1,3 +1,7 @@
+import os
+import struct
+import types
+
 import numpy as np
 import pytest
 
@@ -123,6 +127,94 @@ class TestBundleIo:
         blocker.write_text("a file where a directory is needed")
         with pytest.raises(IoFailureError):
             write_bundle(bundle, blocker / "b")
+
+
+def _set_header(offset, fmt, *values):
+    def corrupt(raw):
+        raw = bytearray(raw)
+        struct.pack_into(fmt, raw, offset, *values)
+        return bytes(raw)
+    return corrupt
+
+
+def _huge_dims(raw):
+    # about 2**40 elements declared over the payload of a tiny file
+    ndim = raw[6]
+    return _set_header(7, f"<{ndim}Q", 2**40, *[1] * (ndim - 1))(raw)
+
+
+# detail texts of the loader before payloads were read into aligned arrays;
+# the default fixture bundle has labels (3, 8, 8) and features (3, 8, 8, 4)
+LOADER_ERRORS = [
+    ("shorter-than-header", lambda raw: raw[:20],
+     {"labels.bin": "labels.bin: file shorter than header",
+      "features.bin": "features.bin: file shorter than header"}),
+    ("bad-magic", _set_header(0, "<4s", b"NOPE"),
+     {"labels.bin": "labels.bin: bad magic b'NOPE'",
+      "features.bin": "features.bin: bad magic b'NOPE'"}),
+    ("version-2", _set_header(4, "<H", 2),
+     {"labels.bin": "labels.bin: unsupported version 2",
+      "features.bin": "features.bin: unsupported version 2"}),
+    ("wrong-ndim", _set_header(6, "<B", 2),
+     {"labels.bin": "labels.bin: expected ndim 3, got 2",
+      "features.bin": "features.bin: expected ndim 4, got 2"}),
+    ("truncated-payload", lambda raw: raw[:-1],
+     {"labels.bin": "labels.bin: payload length 191 does not match dims "
+                    "(3, 8, 8)",
+      "features.bin": "features.bin: payload length 3071 does not match dims "
+                      "(3, 8, 8, 4)"}),
+    ("trailing-byte", lambda raw: raw + b"\x00",
+     {"labels.bin": "labels.bin: payload length 193 does not match dims "
+                    "(3, 8, 8)",
+      "features.bin": "features.bin: payload length 3073 does not match dims "
+                      "(3, 8, 8, 4)"}),
+    ("huge-dims", _huge_dims,
+     {"labels.bin": "labels.bin: payload length 192 does not match dims "
+                    "(1099511627776, 1, 1)",
+      "features.bin": "features.bin: payload length 3072 does not match dims "
+                      "(1099511627776, 1, 1, 1)"}),
+]
+
+
+@pytest.mark.parametrize("name", ["labels.bin", "features.bin"])
+@pytest.mark.parametrize("corrupt, details",
+                         [case[1:] for case in LOADER_ERRORS],
+                         ids=[case[0] for case in LOADER_ERRORS])
+def test_loader_error_contract(tmp_path, bundle, name, corrupt, details):
+    # huge-dims also shows the length check runs before the payload is
+    # allocated: 2**40 elements would not fit in memory
+    write_bundle(bundle, tmp_path / "b")
+    f = tmp_path / "b" / name
+    f.write_bytes(corrupt(f.read_bytes()))
+    with pytest.raises(CorruptBinaryError) as info:
+        load_bundle(tmp_path / "b")
+    assert info.value.detail == details[name]
+
+
+def test_short_payload_read(tmp_path, bundle, monkeypatch):
+    # a file that shrinks after its size was taken reads short
+    write_bundle(bundle, tmp_path / "b")
+    f = tmp_path / "b" / "labels.bin"
+    f.write_bytes(f.read_bytes()[:-1])
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+        st_size=fstat(fd).st_size + 1))
+    with pytest.raises(CorruptBinaryError) as info:
+        load_bundle(tmp_path / "b")
+    assert info.value.detail == ("labels.bin: payload length 191 does not "
+                                 "match dims (3, 8, 8)")
+
+
+def test_loaded_arrays_are_aligned_read_only_and_exact(tmp_path, bundle):
+    # the 39-byte features header used to leave a misaligned float32 view
+    write_bundle(bundle, tmp_path / "b")
+    loaded = load_bundle(tmp_path / "b")
+    for got, want in ((loaded.features.features, bundle.features.features),
+                      (loaded.labels.masks, bundle.labels.masks)):
+        assert got.flags.aligned
+        assert not got.flags.writeable
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFlattenPixels:

@@ -548,7 +548,8 @@ def test_select_otce_golden_output(tmp_path, capsys, monkeypatch):
     assert out == GOLDEN_SELECT_OTCE
 
 
-# printed at the parent of the one metric dispatch for score and select
+# printed at the parent of the one metric dispatch for score and select;
+# the residual line since it is printed in scientific notation
 GOLDEN_SCORE = {
     "otce": """\
 # config: {"command": "score", "epsilon": 0.1, "max_pixels": 256, \
@@ -557,7 +558,7 @@ GOLDEN_SCORE = {
 otce,-0.597749
 ot_cost,3.695631
 sinkhorn_iterations,103
-sinkhorn_residual,0.000000
+sinkhorn_residual,9.476e-10
 source,synth-00-s0.00
 target,synth-05-s1.00
 """,
@@ -585,6 +586,39 @@ def test_score_golden_output(tmp_path, capsys, monkeypatch, argv):
                          "--target", "pool/synth-05-s1.00")
     assert (code, err) == (0, "")
     assert out == GOLDEN_SCORE[argv[1]]
+
+
+def test_score_json_residual_keeps_its_digits(tmp_path, capsys, monkeypatch):
+    # 6 dp would print the residual of a converged and an unconverged plan
+    # alike, as 0.0
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    _write_default_synth_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--format", "json", "score", "--metric",
+                         "otce", "--max-pixels", "256",
+                         "--source", "pool/synth-00-s0.00",
+                         "--target", "pool/synth-05-s1.00")
+    assert (code, err) == (0, "")
+    assert '"sinkhorn_residual": 9.476e-10,' in out
+
+
+def test_select_seed_wraps_mod_2_64(tmp_path, capsys, monkeypatch):
+    # select, score and synth-eval take --seed mod 2**64, as roi-sim and
+    # synth do
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    _write_default_synth_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    rankings = []
+    for seed in ("-1", str(2**64 - 1)):
+        code, out, err = run(capsys, "--seed", seed, "select", "--path",
+                             "baseline", "--metric", "otce", "--max-pixels",
+                             "64", "--top-k", "5", "--target",
+                             "pool/synth-05-s1.00", "--sources", "pool")
+        assert (code, err) == (0, "")
+        config, *ranking = out.splitlines()
+        assert f'"seed": {seed},' in config
+        rankings.append(ranking)
+    assert rankings[0] == rankings[1] and len(rankings[0]) == 5
 
 
 GOLDEN_SYNTH_JSON = """\

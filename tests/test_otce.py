@@ -1,4 +1,5 @@
 import importlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -390,13 +391,32 @@ class TestOtcePipeline:
         fs = feature_set(rng.standard_normal((1, 4, 4, 2)),
                          rng.integers(0, 2, (1, 4, 4)), "s")
         pair = 2 * 9 * 9 * 8  # cost and kernel, 9 x 9 pixels each
-        monkeypatch.setattr(otce_module, "physical_memory_bytes",
+        monkeypatch.setattr(otce_module, "available_memory_bytes",
                             lambda: pair - 1)
         with pytest.raises(InvalidSpecError, match="--max-pixels"):
             otce(fs, fs, SubsampleSpec(max_pixels=9))
-        monkeypatch.setattr(otce_module, "physical_memory_bytes",
+        monkeypatch.setattr(otce_module, "available_memory_bytes",
                             lambda: pair)
         assert otce(fs, fs, SubsampleSpec(max_pixels=9)).score <= 1e-9
+
+    def test_memory_bound_is_available_memory(self, tmp_path, monkeypatch):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:  8000 kB\nMemFree:  512 kB\n"
+                           "MemAvailable:  1024 kB\n")
+        monkeypatch.setattr(otce_module, "MEMINFO", str(meminfo))
+        assert otce_module.available_memory_bytes() == 1024 * 1024
+        rng = np.random.Generator(np.random.Philox(42))
+        fs = feature_set(rng.standard_normal((1, 16, 32, 2)),
+                         rng.integers(0, 2, (1, 16, 32)), "s")
+        # 2 x 512 x 512 x 8 B is 4 MiB, more than the 1 MiB available
+        with pytest.raises(InvalidSpecError,
+                           match="of available memory; lower --max-pixels"):
+            otce(fs, fs, SubsampleSpec(max_pixels=512))
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        meminfo.write_text("MemTotal:  8000 kB\n")
+        assert otce_module.available_memory_bytes() == physical
+        monkeypatch.setattr(otce_module, "MEMINFO", str(tmp_path / "missing"))
+        assert otce_module.available_memory_bytes() == physical
 
     def test_report_carries_sampler(self):
         rng = np.random.Generator(np.random.Philox(34))

@@ -215,7 +215,7 @@ class TestSelect:
         pool = [make_bundle(f"ED-{i}-T2", n=2, h=4, w=4, c=2, seed=86 + i)
                 for i in range(3)]
         pair = 2 * 32 * 32 * 8  # cost and kernel of one 32 x 32 pixel pair
-        monkeypatch.setattr(otce_module, "physical_memory_bytes",
+        monkeypatch.setattr(otce_module, "available_memory_bytes",
                             lambda: 2 * pair)
 
         def run(threads):
