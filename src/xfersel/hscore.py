@@ -26,6 +26,7 @@ it invertible; such pixels are counted in ``rank_deficient_pixels``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class HScoreParams:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.ridge < 0:
-            raise InvalidSpecError("ridge must be >= 0")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise InvalidSpecError("ridge must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

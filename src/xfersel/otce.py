@@ -9,6 +9,7 @@ means more transferable.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .bundle import PixelFeatureSet, SubsampleSpec, flatten_pixels
 from .errors import (
+    DegenerateInputError,
     DimensionMismatchError,
     InvalidSpecError,
     LengthMismatchError,
@@ -30,10 +32,10 @@ class SinkhornParams:
     marginal_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidSpecError("epsilon must be > 0")
-        if self.marginal_tol <= 0:
-            raise InvalidSpecError("marginal_tol must be > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidSpecError("epsilon must be > 0 and finite")
+        if not (math.isfinite(self.marginal_tol) and self.marginal_tol > 0):
+            raise InvalidSpecError("marginal_tol must be > 0 and finite")
         if self.max_iters < 1:
             raise InvalidSpecError("max_iters must be >= 1")
 
@@ -118,74 +120,108 @@ def sinkhorn(cost: np.ndarray,
     One log-domain sweep sets the potentials ``f``, ``g``; every later sweep
     is two mat-vecs with the stabilised kernel ``K = exp(-C/eps + f + g)``,
     and the plan is ``u * K * v``.  Drifting scalings are absorbed into the
-    potentials and ``K`` is rebuilt from ``cost`` (Schmitzer 2019), so small
-    epsilon neither overflows nor underflows.
+    potentials and ``K`` is rebuilt from ``cost`` (Schmitzer 2019).
 
     ``K`` is the only N_s x N_t array allocated here and becomes the plan's
     coupling; the log-sum-exp set-up and every rebuild run one row block at
-    a time in it, so ``cost`` is never modified.
+    a time in it, so ``cost`` is never modified.  The set-up leaves
+    ``-C/eps + f`` in ``K``, so the first kernel only adds ``g`` and
+    exponentiates in place.  A sweep allocates nothing: the mat-vecs and
+    divides write into vectors allocated once per call, and ``u``, ``v``
+    are the two halves of one scaling vector, so a single log and reduction
+    tests both for absorption.
 
     Iterations stop once the plan's worst row-marginal violation (columns
     are exact after each sweep) drops to ``marginal_tol`` or at
-    ``max_iters``.  Non-convergence is not an error: the plan is returned
-    with its residual in ``final_marginal_error`` and callers decide.
+    ``max_iters``.  The row marginal is uniform, so that violation is read
+    off the extremes of ``u * K v``.  Non-convergence is not an error: the
+    plan is returned with its residual in ``final_marginal_error`` and
+    callers decide.  An ``epsilon`` too small for the costs in float64 is
+    an error: non-finite potentials after the set-up, or a final residual
+    that is not finite or exceeds the plan's unit mass, raise
+    ``DegenerateInputError``.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise NonFiniteCostError("cost must be a non-empty 2-D matrix")
 
+    eps = params.epsilon
     n_s, n_t = cost.shape
     a = np.full(n_s, 1.0 / n_s)
     b = np.full(n_t, 1.0 / n_t)
     blocks = _row_blocks(n_s, n_t)
     kernel = np.empty((n_s, n_t))
+    # a degenerate epsilon is named below, not warned about on stderr
+    with np.errstate(all="ignore"):
+        # row log-sum-exp of -C/eps gives f; -C/eps + f stays in the kernel
+        # buffer for the column pass.  That pass adds the running sum into
+        # each block's first row, so the column sums add rows in the same
+        # order as a whole-matrix sum(axis=0) and f, g keep the same bits.
+        f = np.empty(n_s)
+        col_peak = np.full(n_t, -np.inf)
+        for rows in blocks:
+            if not np.isfinite(cost[rows]).all():
+                raise NonFiniteCostError("cost matrix contains NaN/Inf")
+            block = np.divide(cost[rows], -eps, out=kernel[rows])
+            peak = block.max(axis=1)
+            shifted = block - peak[:, None]
+            np.exp(shifted, out=shifted)
+            f[rows] = np.log(a[rows]) - (np.log(shifted.sum(axis=1)) + peak)
+            block += f[rows, None]
+            np.maximum(col_peak, block.max(axis=0), out=col_peak)
+        col_sum = np.zeros(n_t)
+        for rows in blocks:
+            shifted = kernel[rows] - col_peak
+            np.exp(shifted, out=shifted)
+            shifted[0] += col_sum
+            col_sum = shifted.sum(axis=0)
+        g = np.log(b) - (np.log(col_sum) + col_peak)
+        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+            raise DegenerateInputError(
+                f"Sinkhorn potentials are not finite at epsilon {eps:g}; "
+                "raise epsilon")
+        for rows in blocks:
+            block = kernel[rows]
+            block += g
+            np.exp(block, out=block)
 
-    # row log-sum-exp of -C/eps gives f; -C/eps + f stays in the kernel
-    # buffer for the column pass.  That pass adds the running sum into each
-    # block's first row, so the column sums add rows in the same order as a
-    # whole-matrix sum(axis=0) and f, g keep the same bits.
-    f = np.empty(n_s)
-    col_peak = np.full(n_t, -np.inf)
-    for rows in blocks:
-        if not np.isfinite(cost[rows]).all():
-            raise NonFiniteCostError("cost matrix contains NaN/Inf")
-        block = np.divide(cost[rows], -params.epsilon, out=kernel[rows])
-        peak = block.max(axis=1)
-        shifted = block - peak[:, None]
-        np.exp(shifted, out=shifted)
-        f[rows] = np.log(a[rows]) - (np.log(shifted.sum(axis=1)) + peak)
-        block += f[rows, None]
-        np.maximum(col_peak, block.max(axis=0), out=col_peak)
-    col_sum = np.zeros(n_t)
-    for rows in blocks:
-        shifted = kernel[rows] - col_peak
-        np.exp(shifted, out=shifted)
-        shifted[0] += col_sum
-        col_sum = shifted.sum(axis=0)
-    g = np.log(b) - (np.log(col_sum) + col_peak)
+        scale = np.ones(n_s + n_t)
+        u, v = scale[:n_s], scale[n_s:]
+        log_scale = np.empty(n_s + n_t)
+        spread = np.empty(n_s + n_t)
+        kv, row, ktu = np.empty(n_s), np.empty(n_s), np.empty(n_t)
+        a0, tol = a[0], params.marginal_tol
+        sweeps = 1
+        while sweeps < params.max_iters:
+            np.dot(kernel, v, kv)
+            # max|row - a0| <= tol, decided from row's extremes: rounding
+            # row_i - a0 is monotone in row_i
+            np.multiply(u, kv, out=row)
+            if (np.maximum.reduce(row) - a0 <= tol
+                    and a0 - np.minimum.reduce(row) <= tol):
+                break
+            np.divide(a, kv, out=u)
+            np.dot(kernel.T, u, ktu)
+            np.divide(b, ktu, out=v)
+            sweeps += 1
+            np.log(scale, out=log_scale)
+            if np.maximum.reduce(np.absolute(log_scale, out=spread)) \
+                    > _ABSORB_LOG:
+                f += log_scale[:n_s]
+                g += log_scale[n_s:]
+                _fill_kernel(kernel, cost, eps, f, g, blocks)
+                scale.fill(1.0)
 
-    _fill_kernel(kernel, cost, params.epsilon, f, g, blocks)
-    u = np.ones(n_s)
-    v = np.ones(n_t)
-    sweeps = 1
-    while sweeps < params.max_iters:
-        kv = kernel @ v
-        if np.abs(u * kv - a).max() <= params.marginal_tol:
-            break
-        u = a / kv
-        v = b / (kernel.T @ u)
-        sweeps += 1
-        if max(np.abs(np.log(u)).max(), np.abs(np.log(v)).max()) > _ABSORB_LOG:
-            f += np.log(u)
-            g += np.log(v)
-            _fill_kernel(kernel, cost, params.epsilon, f, g, blocks)
-            u = np.ones(n_s)
-            v = np.ones(n_t)
-
-    plan = kernel
-    plan *= u[:, None]
-    plan *= v[None, :]
-    err = _marginal_error(plan, a, b)
+        plan = kernel
+        plan *= u[:, None]
+        plan *= v[None, :]
+        err = _marginal_error(plan, a, b)
+    # columns are exact after every sweep, so a unit-mass plan is off by at
+    # most 1 on any marginal; more, or NaN, means float64 ran out of range
+    if not err <= 1.0:
+        raise DegenerateInputError(
+            f"Sinkhorn plan lost its unit mass at epsilon {eps:g} "
+            f"(marginal residual {err:.3e}); raise epsilon")
     return TransportPlan(coupling=plan, row_marginal=a, col_marginal=b,
                          iterations_used=sweeps, final_marginal_error=float(err))
 

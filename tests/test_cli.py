@@ -162,7 +162,11 @@ class TestSelectCmd:
         assert "1,NCR-13-T2,10.524700" in out
 
     @pytest.mark.parametrize("flag,value", [("--epsilon", "0"),
+                                            ("--epsilon", "nan"),
+                                            ("--epsilon", "inf"),
                                             ("--ridge", "-1"),
+                                            ("--ridge", "nan"),
+                                            ("--ridge", "inf"),
                                             ("--top-k", "0")])
     def test_invalid_parameter_exit_2(self, tmp_path, capsys, flag, value):
         pool_dir, target_dir, _ = write_pool(tmp_path)
@@ -469,6 +473,18 @@ def _score_hscore_epsilon_0(tmp_path, monkeypatch):
             "--source", str(tmp_path / "b"), "--target", str(tmp_path / "b")]
 
 
+def _score_otce_tiny_epsilon(epsilon):
+    # -C/eps is far beyond what float64 resolves: at 1e-300 the plan's mass
+    # runs away over the sweeps, at 5e-324 -C/eps overflows in the set-up
+    def argv(tmp_path, monkeypatch):
+        write_bundle(make_bundle("ED-1-T2", seed=1), tmp_path / "s")
+        write_bundle(make_bundle("ET-9-T2", seed=9), tmp_path / "t")
+        return ["score", "--metric", "otce", "--epsilon", epsilon,
+                "--source", str(tmp_path / "s"),
+                "--target", str(tmp_path / "t")]
+    return argv
+
+
 def _usage(*argv):
     def make_argv(tmp_path, monkeypatch):
         return list(argv)
@@ -497,6 +513,10 @@ def _usage(*argv):
     (_score_featureless_source, "MissingFeatures",
      "otce needs features on ED-1-T2"),
     (_score_hscore_epsilon_0, "InvalidSpec", "epsilon must be > 0"),
+    (_score_otce_tiny_epsilon("1e-300"), "DegenerateInput",
+     "plan lost its unit mass at epsilon 1e-300"),
+    (_score_otce_tiny_epsilon("5e-324"), "DegenerateInput",
+     "potentials are not finite at epsilon 4.94066e-324"),
 ], ids=["scores-cell", "ranking-rank", "ranking-score", "env-seed",
         "roi-sim-pairs-0", "synth-spec-not-object",
         "synth-spec-strengths-not-list", "synth-spec-field-type",
@@ -504,7 +524,8 @@ def _usage(*argv):
         "usage-max-pixels-not-int", "usage-metric-missing",
         "usage-unknown-command", "scores-file-missing",
         "select-hscore-mixed-channels", "score-otce-featureless-source",
-        "score-hscore-epsilon-0"])
+        "score-hscore-epsilon-0", "score-otce-epsilon-1e-300",
+        "score-otce-epsilon-5e-324"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv,
                               error, detail):
     code, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))

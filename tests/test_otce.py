@@ -1,9 +1,12 @@
 import importlib
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xfersel.bundle import LabelMaskSet, PixelFeatureSet, SubsampleSpec
 from xfersel.errors import (
@@ -167,6 +170,29 @@ class TestSinkhorn:
         assert plan.iterations_used == sweeps
         np.testing.assert_array_equal(plan.coupling, expected)
         np.testing.assert_array_equal(cost, given)
+
+    @given(n_s=st.integers(1, 24), n_t=st.integers(1, 24),
+           block_rows=st.integers(1, 24),
+           epsilon=st.sampled_from([0.005, 0.02, 0.1, 0.5]),
+           max_iters=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_whole_matrix_solver_bit_for_bit(self, n_s, n_t,
+                                                     block_rows, epsilon,
+                                                     max_iters, seed):
+        # converged, budget-bound and absorbing runs alike: the in-place
+        # sweep and its stop test from the row extremes change no bit
+        rng = np.random.Generator(np.random.Philox(seed))
+        channels = int(rng.integers(1, 5))
+        cost = cost_matrix(rng.standard_normal((n_s, channels)),
+                           rng.standard_normal((n_t, channels)) + 0.5)
+        with mock.patch.object(otce_module, "_BLOCK_BYTES",
+                               block_rows * 8 * n_t):
+            plan = sinkhorn(cost, SinkhornParams(epsilon=epsilon,
+                                                 max_iters=max_iters))
+        expected, sweeps = sinkhorn_whole_matrix_reference(
+            cost, epsilon, max_iters=max_iters)
+        assert plan.iterations_used == sweeps
+        np.testing.assert_array_equal(plan.coupling, expected)
 
     def test_feasibility_on_random_costs(self):
         rng = np.random.Generator(np.random.Philox(24))
