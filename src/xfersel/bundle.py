@@ -61,8 +61,8 @@ class TaskDescriptor:
     partition: str | None = None
 
     def __post_init__(self):
-        if not self.task_id:
-            raise InvalidSpecError("task_id must be non-empty")
+        if not (self.task_id and self.task_id.isprintable()):
+            raise InvalidSpecError("task_id must be non-empty printable text")
         object.__setattr__(self, "modality", canonical_modality(self.modality))
 
     def same_modality(self, other: "TaskDescriptor") -> bool:
@@ -145,10 +145,6 @@ class PixelFeatureSet:
                 f"task {self.task_id!r} features contain NaN/Inf")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
 
     @property
     def channels(self) -> int:
@@ -249,6 +245,32 @@ def _read_array(file: Path, role: str, magic: bytes, ndim: int,
 # bundle I/O
 # ---------------------------------------------------------------------------
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file, each failure one library error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoFailureError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidSpecError(f"{path}: {exc}") from exc
+
+
+def json_is(value, kinds) -> bool:
+    """isinstance for decoded JSON, where a bool must not pass as a number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+# the JSON types each manifest key may take, checked where the key is present;
+# "files" is checked before its entries
+_MANIFEST_TYPES = {
+    "task_id": str, "roi_class": str, "modality": str, "dataset": str | None,
+    "partition": str | None, "n_samples": int, "height": int, "width": int,
+    "channels": int | None, "positive_class": int, "extractor": str | None,
+    "files": dict,
+}
+_FILES_TYPES = {"labels": str, "features": str}
+
+
 def write_bundle(bundle: TaskBundle, path: str | Path) -> None:
     """Write a bundle directory; loading it back reproduces the bundle bit-exactly."""
     path = Path(path)
@@ -293,13 +315,21 @@ def load_bundle(path: str | Path) -> TaskBundle:
         raise MissingManifestError(f"no {MANIFEST_NAME} in {path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MissingManifestError(f"unreadable manifest in {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise MissingManifestError(f"manifest in {path} is not a JSON object")
 
     for key in ("task_id", "roi_class", "modality", "n_samples",
                 "height", "width", "files"):
         if key not in manifest:
             raise MissingManifestError(f"manifest misses key {key!r}")
+    for doc, kinds, prefix in ((manifest, _MANIFEST_TYPES, ""),
+                               (manifest["files"], _FILES_TYPES, "files.")):
+        for key, kind in kinds.items():
+            if key in doc and not json_is(doc[key], kind):
+                raise MissingManifestError(f"manifest key {prefix}{key} has "
+                                           f"the wrong type: {doc[key]!r}")
 
     descriptor = TaskDescriptor(
         task_id=manifest["task_id"],
@@ -319,15 +349,12 @@ def load_bundle(path: str | Path) -> TaskBundle:
             f"labels {masks.shape} disagree with manifest {declared}")
 
     labels = LabelMaskSet(task_id=descriptor.task_id, masks=masks,
-                          positive_class=int(manifest.get("positive_class", 1)))
+                          positive_class=manifest.get("positive_class", 1))
 
     features = None
     if "features" in files:
         feats = _read_array(path / files["features"], "features",
                             FEATURES_MAGIC, 4, np.dtype("<f4"))
-        if feats.shape[:3] != masks.shape:
-            raise ShapeMismatchError(
-                f"features {feats.shape} do not align with labels {masks.shape}")
         if manifest.get("channels") is not None \
                 and feats.shape[3] != manifest["channels"]:
             raise ShapeMismatchError(

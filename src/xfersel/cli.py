@@ -18,7 +18,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bundle import SubsampleSpec, TaskBundle, load_bundle, write_bundle
+from .bundle import (
+    SubsampleSpec,
+    TaskBundle,
+    load_bundle,
+    read_text,
+    write_bundle,
+)
 from .errors import (
     InvalidSpecError,
     IoFailureError,
@@ -180,14 +186,11 @@ def cmd_select(args) -> int:
     scores = None
     if args.scores_file:
         table = read_scores_csv(args.scores_file)
-        column = args.metric
-        scores = {}
-        for task_id, cols in table.items():
-            if column in cols:
-                scores[task_id] = cols[column]
+        scores = {t: cols[args.metric] for t, cols in table.items()
+                  if args.metric in cols}
         if not scores:
             raise InvalidSpecError(
-                f"{args.scores_file} has no {column!r} column values")
+                f"{args.scores_file} has no {args.metric!r} column values")
     report = select(pool, target, cfg, scores=scores)
 
     config = {"command": "select", "target": str(args.target),
@@ -226,9 +229,8 @@ def cmd_footrule(args) -> int:
 def cmd_synth(args) -> int:
     spec_dict = {}
     if args.spec:
-        text = Path(args.spec).read_text(encoding="utf-8")
         try:
-            spec_dict = json.loads(text)
+            spec_dict = json.loads(read_text(args.spec))
         except json.JSONDecodeError as exc:
             raise InvalidSpecError(f"{args.spec}: {exc}") from exc
         if not isinstance(spec_dict, dict):

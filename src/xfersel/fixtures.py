@@ -21,7 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import InvalidSpecError, IoFailureError, UnknownTaskError
+from .bundle import LabelMaskSet, TaskBundle, TaskDescriptor, read_text
+from .errors import InvalidSpecError, UnknownTaskError
 
 TARGETS = ("ET-22-T2", "ET-20-T1")
 
@@ -69,7 +70,7 @@ def _disk_mask(height: int, width: int, radius: float,
 
 
 def benchmark_pool(target_id: str, height: int = 32,
-                   width: int = 32) -> tuple[list, "object"]:
+                   width: int = 32) -> tuple[list[TaskBundle], TaskBundle]:
     """(sources, target) bundles mirroring the benchmark's task pool.
 
     The 16 source bundles and the target carry deterministic label masks
@@ -79,11 +80,6 @@ def benchmark_pool(target_id: str, height: int = 32,
     from :func:`reference_scores` and are injected into the selection
     pipeline, so the ranking and evaluation layers can run end to end.
     """
-    from .bundle import LabelMaskSet, TaskBundle, TaskDescriptor
-
-    if target_id not in _FILES:
-        raise UnknownTaskError(
-            f"no reference table for {target_id!r}; have {TARGETS}")
     radii = {"ET": (8.0, 9.0, 8.5, 9.5), "ED": (9.0, 10.0, 9.5, 10.5),
              "NCR": (4.0, 4.5, 5.0, 4.2)}
     center = (height / 2.0, width / 2.0)
@@ -107,18 +103,18 @@ def benchmark_pool(target_id: str, height: int = 32,
 
 def read_scores_csv(path) -> dict[str, dict[str, float]]:
     """Parse an external scores file: task_id plus one or more metric columns."""
-    from pathlib import Path
-
+    reader = csv.DictReader(read_text(path).splitlines())
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailureError(str(exc)) from exc
-    reader = csv.DictReader(text.splitlines())
-    if reader.fieldnames is None or "task_id" not in reader.fieldnames:
+        header, records = reader.fieldnames, list(reader)
+    except csv.Error as exc:
+        raise InvalidSpecError(f"{path}: {exc}") from exc
+    if header is None or "task_id" not in header:
         raise InvalidSpecError(f"{path}: scores file needs a task_id column")
     out: dict[str, dict[str, float]] = {}
-    for rec in reader:
+    for rec in records:
         task_id = rec["task_id"]
+        if None in rec:
+            raise InvalidSpecError(f"{path}: row {task_id!r} has extra cells")
         if task_id in out:
             raise InvalidSpecError(f"{path}: duplicate task_id {task_id!r}")
         try:

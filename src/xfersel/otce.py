@@ -42,9 +42,7 @@ class SinkhornParams:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    coupling: np.ndarray      # [N_s, N_t], non-negative, sums to 1
-    row_marginal: np.ndarray  # prescribed, uniform 1/N_s
-    col_marginal: np.ndarray  # prescribed, uniform 1/N_t
+    coupling: np.ndarray  # [N_s, N_t], non-negative, sums to 1
     iterations_used: int
     final_marginal_error: float
 
@@ -64,7 +62,6 @@ class OtceReport:
     ot_cost: float
     iterations_used: int
     final_marginal_error: float
-    subsample: SubsampleSpec
 
 
 # float64 bytes of one row block of an N_s x N_t array; every N x N step
@@ -222,8 +219,8 @@ def sinkhorn(cost: np.ndarray,
         raise DegenerateInputError(
             f"Sinkhorn plan lost its unit mass at epsilon {eps:g} "
             f"(marginal residual {err:.3e}); raise epsilon")
-    return TransportPlan(coupling=plan, row_marginal=a, col_marginal=b,
-                         iterations_used=sweeps, final_marginal_error=float(err))
+    return TransportPlan(coupling=plan, iterations_used=sweeps,
+                         final_marginal_error=float(err))
 
 
 def _fill_kernel(kernel: np.ndarray, cost: np.ndarray, epsilon: float,
@@ -330,16 +327,13 @@ def otce(source: PixelFeatureSet, target: PixelFeatureSet,
          ) -> OtceReport:
     """End-to-end OTCE between a source and a target pixel feature set.
 
-    Both sets must come from the same extractor (equal channel count is
-    enforced here; provenance is the caller's contract).  Each side is
+    Both sets must come from the same extractor (:func:`cost_matrix` enforces
+    equal channel counts; provenance is the caller's contract).  Each side is
     flattened and, above ``sampler.max_pixels``, subsampled with the same
     spec applied independently per side.  ``target_pixels`` is the target
     already flattened by :func:`otce_target`, which a caller pairing one
     target with many sources passes to flatten it only once.
     """
-    if source.channels != target.channels:
-        raise DimensionMismatchError(
-            f"channel counts differ: {source.channels} vs {target.channels}")
     if target_pixels is None:
         target_pixels = otce_target(target, [source], sampler)
     src_feats, src_labels = flatten_pixels(source, sampler)
@@ -353,5 +347,4 @@ def otce(source: PixelFeatureSet, target: PixelFeatureSet,
     return OtceReport(source_id=source.task_id, target_id=target.task_id,
                       score=score, ot_cost=ot_cost,
                       iterations_used=plan.iterations_used,
-                      final_marginal_error=plan.final_marginal_error,
-                      subsample=sampler)
+                      final_marginal_error=plan.final_marginal_error)

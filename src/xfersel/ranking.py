@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bundle import read_text
 from .errors import (
     DuplicateTaskIdError,
     IdSetMismatchError,
@@ -50,7 +51,6 @@ class Ranking:
 class FootruleReport:
     distance: int
     k: int | str  # count, or "full"
-    pairs: tuple[tuple[str, int, int], ...]  # (task_id, predicted, truth)
 
 
 def build_ranking(scores: list[tuple[str, float]]) -> Ranking:
@@ -76,9 +76,8 @@ def footrule_full(pred: Ranking, truth: Ranking) -> FootruleReport:
         raise IdSetMismatchError(
             "rankings cover different task sets: "
             f"{sorted(set(pred.position) ^ set(truth.position))}")
-    pairs = tuple((t, p, truth.position[t]) for t, p in pred.position.items())
-    distance = sum(abs(p - q) for _, p, q in pairs)
-    return FootruleReport(distance=distance, k="full", pairs=pairs)
+    distance = sum(abs(p - truth.position[t]) for t, p in pred.position.items())
+    return FootruleReport(distance=distance, k="full")
 
 
 def footrule_topk(pred: Ranking, truth: Ranking, k: int) -> FootruleReport:
@@ -92,12 +91,9 @@ def footrule_topk(pred: Ranking, truth: Ranking, k: int) -> FootruleReport:
     missing = [t for t in pred.task_ids if t not in truth.position]
     if missing:
         raise UnknownTaskError(f"not in truth ranking: {missing}")
-    pairs = []
-    for n in range(1, k + 1):
-        task = pred.task_at(n)
-        pairs.append((task, n, truth.position[task]))
-    distance = sum(abs(p - q) for _, p, q in pairs)
-    return FootruleReport(distance=distance, k=k, pairs=tuple(pairs))
+    distance = sum(abs(n - truth.position[pred.task_at(n)])
+                   for n in range(1, k + 1))
+    return FootruleReport(distance=distance, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +120,9 @@ def write_ranking_csv(ranking: Ranking, path: str | Path) -> None:
 def read_ranking_csv(path: str | Path) -> Ranking:
     """Rebuild a ranking from CSV; the rank column is authoritative."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailureError(str(exc)) from exc
-    rows = list(csv.reader(io.StringIO(text)))
+        rows = list(csv.reader(io.StringIO(read_text(path))))
+    except csv.Error as exc:
+        raise InvalidSpecError(f"{path}: {exc}") from exc
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise InvalidSpecError(
             f"{path}: expected header {','.join(CSV_HEADER)}")
@@ -141,6 +136,8 @@ def read_ranking_csv(path: str | Path) -> Ranking:
             parsed.append((int(row[2]), row[0], float(row[1])))
         except ValueError as exc:
             raise InvalidSpecError(f"{path}: row {row!r}: {exc}") from exc
+        if not math.isfinite(parsed[-1][2]):
+            raise NonFiniteScoreError(f"{path}: row {row!r}")
     parsed.sort(key=lambda r: r[0])
     if [r[0] for r in parsed] != list(range(1, len(parsed) + 1)):
         raise InvalidSpecError(f"{path}: ranks are not 1..{len(parsed)}")

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import LabelMaskSet
-from .errors import (
-    EmptyImageError,
-    EmptyLabelSetError,
-    InvalidSpecError,
-    ShapeMismatchError,
-)
+from .errors import EmptyImageError, InvalidSpecError, ShapeMismatchError
 from .rng import subsample_indices
 
 DEFAULT_MAX_PAIRS = 256
@@ -61,8 +56,6 @@ class RoiSimReport:
     target_id: str
     score: float
     n_pairs: int
-    params: SsimParams
-    pairing_mode: PairingMode
 
 
 def ssim_global(x: np.ndarray, y: np.ndarray,
@@ -131,8 +124,6 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
     """
     if max_pairs < 1:
         raise InvalidSpecError(f"max_pairs must be >= 1, got {max_pairs}")
-    if source.n_samples == 0 or target.n_samples == 0:
-        raise EmptyLabelSetError("both label sets must be non-empty")
     src, tgt = _binarized_aligned(source, target)
 
     if mode is PairingMode.MEAN:
@@ -149,5 +140,4 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
         n_pairs = m
 
     return RoiSimReport(source_id=source.task_id, target_id=target.task_id,
-                        score=float(score), n_pairs=n_pairs, params=params,
-                        pairing_mode=mode)
+                        score=float(score), n_pairs=n_pairs)

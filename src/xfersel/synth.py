@@ -30,6 +30,7 @@ from .bundle import (
     TaskBundle,
     TaskDescriptor,
     flatten_pixels,
+    json_is,
 )
 from .errors import DimensionMismatchError, InvalidSpecError
 from .rng import derive_seed
@@ -42,11 +43,6 @@ SMOOTHING_SIGMA = 2.5     # field correlation length in pixels
 PROBE_TRAIN_PIXELS = 512
 PROBE_RIDGE = 1e-2
 PROBE_NEWTON_STEPS = 30
-
-
-def _is_a(value, kinds) -> bool:
-    """isinstance for JSON numbers, where a bool must not pass as one."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -80,9 +76,9 @@ class SynthSpec:
             value = spec[f.name]
             if f.name == "signal_strengths":
                 ok = isinstance(value, list) and all(
-                    _is_a(s, (int, float)) for s in value)
+                    json_is(s, (int, float)) for s in value)
             else:
-                ok = _is_a(value, int)
+                ok = json_is(value, int)
             if not ok:
                 raise InvalidSpecError(f"{f.name} has the wrong type: {value!r}")
         if "signal_strengths" in spec:
@@ -95,7 +91,6 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    task_id: str
     accuracy: float
 
 
@@ -165,12 +160,11 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray,
 
 
 def probe_transfer(source: TaskBundle, target: TaskBundle,
-                   seed: int = 42,
-                   train_pixels: int = PROBE_TRAIN_PIXELS) -> ProbeResult:
+                   seed: int = 42) -> ProbeResult:
     """Pixel accuracy on the target of a probe fit on the source's pixels.
 
-    The training set is a seeded subsample of at most ``train_pixels`` source
-    pixels; evaluation uses every target pixel.  Deterministic per seed.
+    The training set is a seeded subsample of at most ``PROBE_TRAIN_PIXELS``
+    source pixels; evaluation uses every target pixel.  Deterministic per seed.
     """
     if source.features is None or target.features is None:
         raise DimensionMismatchError("both bundles need features")
@@ -179,11 +173,11 @@ def probe_transfer(source: TaskBundle, target: TaskBundle,
             f"channel counts differ: {source.features.channels} vs "
             f"{target.features.channels}")
     train_x, train_y = flatten_pixels(
-        source.features, SubsampleSpec(max_pixels=train_pixels, seed=seed))
+        source.features, SubsampleSpec(max_pixels=PROBE_TRAIN_PIXELS, seed=seed))
     w = _fit_logistic(train_x, (train_y > 0).astype(np.float64))
 
     eval_x = target.features.features.reshape(-1, target.features.channels)
     eval_y = target.labels.masks.reshape(-1) > 0
     logits = eval_x.astype(np.float64) @ w[:-1] + w[-1]
     accuracy = float(np.mean((logits > 0) == eval_y))
-    return ProbeResult(task_id=source.task_id, accuracy=accuracy)
+    return ProbeResult(accuracy=accuracy)

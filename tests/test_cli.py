@@ -374,13 +374,17 @@ class TestSynthCmds:
         assert err.startswith("ERROR UnknownTask")
 
 
-def _scores_cell_not_numeric(tmp_path, monkeypatch):
-    pool_dir, target_dir, scores_csv = write_pool(tmp_path)
-    lines = scores_csv.read_text().splitlines()
-    lines[1] = lines[1].rsplit(",", 1)[0] + ",n/a"
-    scores_csv.write_text("\n".join(lines) + "\n")
-    return ["select", "--target", str(target_dir), "--sources", str(pool_dir),
-            "--metric", "otce", "--scores-file", str(scores_csv)]
+def _scores_row(edit):
+    # select --scores-file with the first data row's bytes rewritten by edit
+    def argv(tmp_path, monkeypatch):
+        pool_dir, target_dir, scores_csv = write_pool(tmp_path)
+        lines = scores_csv.read_bytes().splitlines()
+        lines[1] = edit(lines[1])
+        scores_csv.write_bytes(b"\n".join(lines) + b"\n")
+        return ["select", "--target", str(target_dir),
+                "--sources", str(pool_dir), "--metric", "otce",
+                "--scores-file", str(scores_csv)]
+    return argv
 
 
 def _bad_ranking_row(row):
@@ -388,9 +392,30 @@ def _bad_ranking_row(row):
         good = tmp_path / "good.csv"
         write_ranking_csv(build_ranking([("a", 1.0), ("b", 0.5)]), good)
         bad = tmp_path / "bad.csv"
-        bad.write_text(f"task_id,score,rank\na,1.0,1\n{row}\n")
+        bad.write_bytes(b"task_id,score,rank\na,1.0,1\n" + row + b"\n")
         return ["footrule", "--pred", str(bad), "--truth", str(good)]
     return argv
+
+
+def _manifest(edit):
+    # roi-sim on a bundle whose manifest.json holds edit(manifest) bytes
+    def argv(tmp_path, monkeypatch):
+        write_bundle(make_bundle(), tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        path.write_bytes(edit(json.loads(path.read_text())))
+        return ["roi-sim", "--source", str(tmp_path / "b"),
+                "--target", str(tmp_path / "b")]
+    return argv
+
+
+def _manifest_key(key, value):
+    # "files.x" names key x of the manifest's files object
+    def edit(manifest):
+        doc = manifest["files"] if key.startswith("files.") else manifest
+        doc[key.removeprefix("files.")] = value(doc) if callable(value) \
+            else value
+        return json.dumps(manifest).encode()
+    return _manifest(edit)
 
 
 def _roi_sim_zero_pairs(tmp_path, monkeypatch):
@@ -406,9 +431,9 @@ def _env_seed_not_integer(tmp_path, monkeypatch):
             "--target", str(tmp_path / "b")]
 
 
-def _synth_spec(text):
+def _synth_spec(data):
     def argv(tmp_path, monkeypatch):
-        (tmp_path / "spec.json").write_text(text)
+        (tmp_path / "spec.json").write_bytes(data)
         return ["synth", "--spec", str(tmp_path / "spec.json"),
                 "--out", str(tmp_path / "tasks")]
     return argv
@@ -492,15 +517,49 @@ def _usage(*argv):
 
 
 @pytest.mark.parametrize("make_argv, error, detail", [
-    (_scores_cell_not_numeric, "InvalidSpec", ""),
-    (_bad_ranking_row("b,0.5,two"), "InvalidSpec", ""),
-    (_bad_ranking_row("b,half,2"), "InvalidSpec", ""),
+    (_scores_row(lambda row: row.rsplit(b",", 1)[0] + b",n/a"),
+     "InvalidSpec", ""),
+    (_scores_row(lambda row: row + b",9"), "InvalidSpec", "extra cells"),
+    (_scores_row(lambda row: b"\xff" + row), "InvalidSpec", "scores.csv"),
+    (_scores_row(lambda row: b"x" * 2**18 + row), "InvalidSpec",
+     "field larger than field limit"),
+    (_bad_ranking_row(b"b,0.5,two"), "InvalidSpec", ""),
+    (_bad_ranking_row(b"b,half,2"), "InvalidSpec", ""),
+    (_bad_ranking_row(b"b,nan,2"), "NonFiniteScore", "bad.csv"),
+    (_bad_ranking_row(b"b,-inf,2"), "NonFiniteScore", "bad.csv"),
+    (_bad_ranking_row(b"b\xff,0.5,2"), "InvalidSpec", "bad.csv"),
+    (_bad_ranking_row(b"b" * 2**18 + b",0.5,2"), "InvalidSpec",
+     "field larger than field limit"),
     (_env_seed_not_integer, "InvalidSpec", ""),
     (_roi_sim_zero_pairs, "InvalidSpec", ""),
-    (_synth_spec("[1, 2]"), "InvalidSpec", ""),
-    (_synth_spec('{"signal_strengths": 5}'), "InvalidSpec",
+    (_synth_spec(b"[1, 2]"), "InvalidSpec", ""),
+    (_synth_spec(b'{"signal_strengths": 5}'), "InvalidSpec",
      "signal_strengths"),
-    (_synth_spec('{"n_tasks": "x"}'), "InvalidSpec", "n_tasks"),
+    (_synth_spec(b'{"n_tasks": "x"}'), "InvalidSpec", "n_tasks"),
+    (_synth_spec(b'{"n_tasks": 1\xff}'), "InvalidSpec", "spec.json"),
+    (_manifest_key("modality", 5), "MissingManifest", "modality"),
+    (_manifest_key("modality", None), "MissingManifest", "modality"),
+    (_manifest_key("files", "x"), "MissingManifest", "files"),
+    (_manifest_key("files", None), "MissingManifest", "files"),
+    (_manifest_key("files.labels", 5), "MissingManifest", "files.labels"),
+    (_manifest_key("files.features", ["features.bin"]), "MissingManifest",
+     "files.features"),
+    (_manifest_key("positive_class", "x"), "MissingManifest",
+     "positive_class"),
+    (_manifest_key("positive_class", None), "MissingManifest",
+     "positive_class"),
+    (_manifest_key("positive_class", 1.5), "MissingManifest",
+     "positive_class"),
+    (_manifest_key("task_id", ["a"]), "MissingManifest", "task_id"),
+    (_manifest_key("task_id", "a\nb"), "InvalidSpec", "printable"),
+    (_manifest_key("roi_class", {"a": 1}), "MissingManifest", "roi_class"),
+    (_manifest_key("height", lambda m: float(m["height"])),
+     "MissingManifest", "height"),
+    (_manifest_key("channels", lambda m: str(m["channels"])),
+     "MissingManifest", "channels"),
+    (_manifest(lambda m: b"null"), "MissingManifest", "not a JSON object"),
+    (_manifest(lambda m: b"\xff" + json.dumps(m).encode()),
+     "MissingManifest", "unreadable manifest"),
     (_hscore_ridge_zero("score"), "DegenerateInput", "singular at ridge 0"),
     (_hscore_ridge_zero("select"), "DegenerateInput", "singular at ridge 0"),
     (_usage("score", "--metric", "otce", "--source", "s", "--target", "t",
@@ -517,9 +576,20 @@ def _usage(*argv):
      "plan lost its unit mass at epsilon 1e-300"),
     (_score_otce_tiny_epsilon("5e-324"), "DegenerateInput",
      "potentials are not finite at epsilon 4.94066e-324"),
-], ids=["scores-cell", "ranking-rank", "ranking-score", "env-seed",
-        "roi-sim-pairs-0", "synth-spec-not-object",
+], ids=["scores-cell", "scores-extra-cell", "scores-not-utf8",
+        "scores-field-too-long",
+        "ranking-rank", "ranking-score", "ranking-score-nan",
+        "ranking-score-inf", "ranking-not-utf8", "ranking-field-too-long",
+        "env-seed", "roi-sim-pairs-0", "synth-spec-not-object",
         "synth-spec-strengths-not-list", "synth-spec-field-type",
+        "synth-spec-not-utf8", "manifest-modality-int",
+        "manifest-modality-null", "manifest-files-str",
+        "manifest-files-null", "manifest-files-labels-int",
+        "manifest-files-features-list", "manifest-positive-class-str",
+        "manifest-positive-class-null", "manifest-positive-class-float",
+        "manifest-task-id-list", "manifest-task-id-newline",
+        "manifest-roi-class-object", "manifest-height-float",
+        "manifest-channels-str", "manifest-null", "manifest-not-utf8",
         "score-hscore-ridge-0", "select-hscore-ridge-0",
         "usage-max-pixels-not-int", "usage-metric-missing",
         "usage-unknown-command", "scores-file-missing",

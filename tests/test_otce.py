@@ -229,11 +229,7 @@ class TestSinkhorn:
 
 class TestJointDistribution:
     def plan_of(self, coupling):
-        coupling = np.asarray(coupling, float)
-        n_s, n_t = coupling.shape
-        return TransportPlan(coupling=coupling,
-                             row_marginal=np.full(n_s, 1 / n_s),
-                             col_marginal=np.full(n_t, 1 / n_t),
+        return TransportPlan(coupling=np.asarray(coupling, float),
                              iterations_used=0, final_marginal_error=0.0)
 
     def test_single_class_total_mass(self):
@@ -443,11 +439,3 @@ class TestOtcePipeline:
         assert otce_module.available_memory_bytes() == physical
         monkeypatch.setattr(otce_module, "MEMINFO", str(tmp_path / "missing"))
         assert otce_module.available_memory_bytes() == physical
-
-    def test_report_carries_sampler(self):
-        rng = np.random.Generator(np.random.Philox(34))
-        src = feature_set(rng.standard_normal((1, 2, 2, 2)),
-                          rng.integers(0, 2, (1, 2, 2)), "s")
-        sampler = SubsampleSpec(max_pixels=3, seed=9)
-        report = otce(src, src, sampler)
-        assert report.subsample == sampler
