@@ -11,14 +11,27 @@ optionally a ``features.bin``:
 Features are stored as 32-bit floats; all metric arithmetic downstream is
 done in 64-bit floats.  Bundles are immutable after construction and safe to
 share across threads.
+
+:func:`load_bundle` checks every header and length, reads the labels, and
+leaves the features payload on disk: it checks the payload's finiteness in
+one streaming pass and records the file's identity (device, inode, size,
+mtime).  :func:`flatten_pixels` then reads only the rows it samples, and
+``PixelFeatureSet.features`` reads the whole array on first use and keeps
+it.  Each read checks the identity again, that it did not come up short and
+that the values it read are finite, so a ``features.bin`` changed after
+loading is ``CorruptBinary`` (``NonFiniteFeature`` for a NaN written
+without changing its size or mtime, ``IoFailure`` once deleted).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +52,11 @@ from .rng import subsample_indices
 LABELS_MAGIC = b"XLBL"
 FEATURES_MAGIC = b"XFTR"
 FORMAT_VERSION = 1
+
+# the features payload's element type, float32 little-endian
+_FEATURE_DTYPE = np.dtype("<f4")
+# bytes a streaming pass or a merged row read takes from a file at a time
+_READ_BYTES = 256 << 10
 
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.bin"
@@ -121,38 +139,78 @@ class LabelMaskSet:
         return (self.masks == self.positive_class).astype(np.float64)
 
 
-@dataclass(frozen=True)
 class PixelFeatureSet:
-    """Per-pixel feature vectors exported from a source model, label-aligned."""
+    """Per-pixel feature vectors exported from a source model, label-aligned.
 
-    task_id: str
-    features: np.ndarray  # [n_samples, H, W, C], float32
-    aligned_labels: LabelMaskSet
+    The [n_samples, H, W, C] float32 values come from one of two places: an
+    array (synthetic tasks, tests, library callers) or the ``features.bin``
+    payload :func:`load_bundle` checked, which stays on disk.  Either way the
+    set is checked whole at construction, and every read returns the same
+    bits.  A set is immutable and safe to share across threads.
+    """
 
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float32)
-        if feats.ndim != 4:
+    def __init__(self, task_id: str, features, aligned_labels: LabelMaskSet):
+        self.task_id = task_id
+        self.aligned_labels = aligned_labels
+        if isinstance(features, _Payload):
+            self._file, self._array = features, None
+            shape = features.dims
+        else:
+            self._file = None
+            self._array = np.asarray(features, dtype=np.float32)
+            shape = self._array.shape
+        if len(shape) != 4:
             raise ShapeMismatchError(
-                f"features must be [n_samples, H, W, C], got ndim={feats.ndim}")
-        if feats.shape[:3] != self.aligned_labels.masks.shape:
+                f"features must be [n_samples, H, W, C], got ndim={len(shape)}")
+        if shape[:3] != aligned_labels.masks.shape:
             raise ShapeMismatchError(
-                f"features {feats.shape[:3]} do not align with labels "
-                f"{self.aligned_labels.masks.shape}")
-        if feats.shape[3] == 0:
+                f"features {shape[:3]} do not align with labels "
+                f"{aligned_labels.masks.shape}")
+        if shape[3] == 0:
             raise EmptyFeatureSetError("feature sets need at least one channel")
-        if not np.isfinite(feats).all():
-            raise NonFiniteFeatureError(
-                f"task {self.task_id!r} features contain NaN/Inf")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
+        self._shape = shape
+        self._lock = threading.Lock()
+        if self._array is not None:
+            self._array = self._checked(self._array)
+        elif not self._file.all_finite():
+            self._non_finite()
+
+    def _non_finite(self):
+        raise NonFiniteFeatureError(
+            f"task {self.task_id!r} features contain NaN/Inf")
+
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        """``values``, read-only, once they are all finite."""
+        if not _all_finite(values):
+            self._non_finite()
+        values.setflags(write=False)
+        return values
+
+    @property
+    def features(self) -> np.ndarray:
+        """The whole [n_samples, H, W, C] array.  A set on disk reads it on
+        first use, checks it again and keeps it."""
+        with self._lock:
+            if self._array is None:
+                self._array = self._checked(self._file.read())
+        return self._array
+
+    def pixel_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Rows of the [n_pixels, C] pixel view: the ascending ``rows``, or
+        all.  A set on disk that does not hold the whole array reads just
+        the given rows and checks them again."""
+        if rows is not None and self._array is None:
+            return self._checked(self._file.read(rows))
+        flat = self.features.reshape(self.n_pixels, self.channels)
+        return flat if rows is None else flat[rows]
 
     @property
     def channels(self) -> int:
-        return self.features.shape[3]
+        return self._shape[3]
 
     @property
     def n_pixels(self) -> int:
-        n, h, w, _ = self.features.shape
+        n, h, w, _ = self._shape
         return n * h * w
 
 
@@ -200,45 +258,167 @@ def _encode_array(magic: bytes, arr: np.ndarray, dtype: np.dtype) -> bytes:
     return header + payload
 
 
+@contextlib.contextmanager
+def _opened(file: Path, identity: tuple | None = None):
+    """``file`` open for reading, every ``OSError`` in the block an
+    ``IoFailure``.  With the ``identity`` a load recorded, a file that no
+    longer has it is ``CorruptBinary``."""
+    try:
+        with open(file, "rb") as fh:
+            if identity and _identity(os.fstat(fh.fileno())) != identity:
+                raise CorruptBinaryError(
+                    f"{file.name}: changed since the bundle was loaded")
+            yield fh
+    except OSError as exc:
+        raise IoFailureError(str(exc)) from exc
+
+
+def _identity(stat: os.stat_result) -> tuple[int, int, int, int]:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _read_header(file: Path, fh, magic: bytes, ndim: int,
+                 dtype: np.dtype) -> tuple[tuple[int, ...], os.stat_result]:
+    """Check the header of a binary file a manifest references, and its
+    payload length against the dims, before anything is allocated.
+
+    Returns the dims and ``os.fstat`` of the file, with ``fh`` at the
+    payload.
+    """
+    name = file.name
+    head_len = 4 + 2 + 1 + 8 * ndim
+    head = fh.read(head_len)
+    if len(head) < head_len:
+        raise CorruptBinaryError(f"{name}: file shorter than header")
+    got_magic, version, got_ndim = struct.unpack_from("<4sHB", head, 0)
+    if got_magic != magic:
+        raise CorruptBinaryError(f"{name}: bad magic {got_magic!r}")
+    if version != FORMAT_VERSION:
+        raise CorruptBinaryError(f"{name}: unsupported version {version}")
+    if got_ndim != ndim:
+        raise CorruptBinaryError(f"{name}: expected ndim {ndim}, got {got_ndim}")
+    dims = struct.unpack_from(f"<{ndim}Q", head, 7)
+    stat = os.fstat(fh.fileno())
+    _check_length(name, stat.st_size - head_len, dims, dtype)
+    return dims, stat
+
+
+def _check_length(name: str, length: int, dims: tuple, dtype: np.dtype):
+    if length != math.prod(dims) * np.dtype(dtype).itemsize:
+        raise CorruptBinaryError(
+            f"{name}: payload length {length} does not match dims {dims}")
+
+
+def _referenced(file: Path, role: str) -> Path:
+    if not file.is_file():
+        raise MissingManifestError(f"referenced {role} file missing: {file}")
+    return file
+
+
 def _read_array(file: Path, role: str, magic: bytes, ndim: int,
                 dtype: np.dtype) -> np.ndarray:
     """Read and decode one binary file a manifest references.
 
     The payload is read into a new array, which numpy aligns whatever the
-    header length; a view at the header's offset would not be.  The payload
-    length is checked against the dims before anything is allocated.
+    header length; a view at the header's offset would not be.
     """
-    if not file.is_file():
-        raise MissingManifestError(f"referenced {role} file missing: {file}")
-    name = file.name
-    head_len = 4 + 2 + 1 + 8 * ndim
-    try:
-        with open(file, "rb") as fh:
-            head = fh.read(head_len)
-            if len(head) < head_len:
-                raise CorruptBinaryError(f"{name}: file shorter than header")
-            got_magic, version, got_ndim = struct.unpack_from("<4sHB", head, 0)
-            if got_magic != magic:
-                raise CorruptBinaryError(f"{name}: bad magic {got_magic!r}")
-            if version != FORMAT_VERSION:
-                raise CorruptBinaryError(
-                    f"{name}: unsupported version {version}")
-            if got_ndim != ndim:
-                raise CorruptBinaryError(
-                    f"{name}: expected ndim {ndim}, got {got_ndim}")
-            dims = struct.unpack_from(f"<{ndim}Q", head, 7)
-            expected = math.prod(dims) * np.dtype(dtype).itemsize
-            length = os.fstat(fh.fileno()).st_size - head_len
-            if length == expected:
-                arr = np.empty(dims, dtype=dtype)
-                length = fh.readinto(arr)
-            if length != expected:
-                raise CorruptBinaryError(
-                    f"{name}: payload length {length} does not match "
-                    f"dims {dims}")
-    except OSError as exc:
-        raise IoFailureError(str(exc)) from exc
+    with _opened(_referenced(file, role)) as fh:
+        dims, _ = _read_header(file, fh, magic, ndim, dtype)
+        arr = np.empty(dims, dtype=dtype)
+        _check_length(file.name, fh.readinto(arr), dims, dtype)
     return arr
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """``np.isfinite(values).all()``, a block of ``_READ_BYTES`` at a time,
+    so no mask of the whole array is made."""
+    flat = values.reshape(-1)
+    step = _READ_BYTES // flat.itemsize
+    mask = np.empty(min(step, flat.size), bool)
+    return all(np.isfinite(block, out=mask[:len(block)]).all()
+               for block in (flat[i:i + step]
+                             for i in range(0, flat.size, step)))
+
+
+@dataclass(frozen=True)
+class _Payload:
+    """A ``features.bin`` whose header a load checked, left on disk.
+
+    ``identity`` is the file's (device, inode, size, mtime) at that check;
+    every later read opens the file and compares it first.  A rewrite that
+    keeps the size within the file system's timestamp resolution keeps the
+    identity, and only the finiteness check of each read applies to it.
+    """
+
+    file: Path
+    offset: int
+    dims: tuple[int, ...]
+    identity: tuple[int, int, int, int]
+
+    @classmethod
+    def check(cls, file: Path) -> "_Payload":
+        with _opened(_referenced(file, "features")) as fh:
+            dims, stat = _read_header(file, fh, FEATURES_MAGIC, 4,
+                                      _FEATURE_DTYPE)
+            return cls(file, fh.tell(), dims, _identity(stat))
+
+    def _short(self, position: int):
+        raise CorruptBinaryError(
+            f"{self.file.name}: read short at byte {position}; the file "
+            f"changed since the bundle was loaded")
+
+    def all_finite(self) -> bool:
+        """Whether every payload value is finite, in one pass through one
+        buffer of ``_READ_BYTES``."""
+        buf = np.empty(_READ_BYTES // 4, _FEATURE_DTYPE)
+        with _opened(self.file, self.identity) as fh:
+            fh.seek(self.offset)
+            left = math.prod(self.dims)
+            while left:
+                block = buf[:min(left, len(buf))]
+                if fh.readinto(block) != block.nbytes:
+                    self._short(fh.tell())
+                if not _all_finite(block):
+                    return False
+                left -= len(block)
+        return True
+
+    def read(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The whole payload, or the ascending ``rows`` of its
+        [n_pixels, C] view."""
+        with _opened(self.file, self.identity) as fh:
+            if rows is not None:
+                return self._gather(fh.fileno(), rows)
+            out = np.empty(self.dims, _FEATURE_DTYPE)
+            fh.seek(self.offset)
+            if fh.readinto(out) != out.nbytes:
+                self._short(fh.tell())
+            return out
+
+    def _gather(self, fd: int, rows: np.ndarray) -> np.ndarray:
+        """Rows less than a page apart share one ``pread`` of at most
+        ``_READ_BYTES`` (or one row); adjacent rows land in place."""
+        width = self.dims[3]
+        row = width * 4
+        out = np.empty((len(rows), width), _FEATURE_DTYPE)
+        buf = np.empty(max(_READ_BYTES, row), np.uint8)
+        starts = (self.offset + rows * row).tolist()
+        lo = 0
+        for hi in range(1, len(rows) + 1):
+            if (hi < len(rows)
+                    and starts[hi] - starts[hi - 1] < row + mmap.PAGESIZE
+                    and starts[hi] + row - starts[lo] <= len(buf)):
+                continue
+            span = starts[hi - 1] + row - starts[lo]
+            adjacent = span == (hi - lo) * row
+            into = out[lo:hi] if adjacent else buf[:span]
+            if os.preadv(fd, [into], starts[lo]) != span:
+                self._short(starts[lo])
+            if not adjacent:
+                out[lo:hi] = into.view(_FEATURE_DTYPE).reshape(-1, width)[
+                    rows[lo:hi] - rows[lo]]
+            lo = hi
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +482,7 @@ def write_bundle(bundle: TaskBundle, path: str | Path) -> None:
             (path / FEATURES_NAME).write_bytes(
                 _encode_array(FEATURES_MAGIC,
                               bundle.features.features,
-                              np.dtype("<f4")))
+                              _FEATURE_DTYPE))
     except OSError as exc:
         raise IoFailureError(f"cannot write bundle to {path}: {exc}") from exc
 
@@ -353,15 +533,15 @@ def load_bundle(path: str | Path) -> TaskBundle:
 
     features = None
     if "features" in files:
-        feats = _read_array(path / files["features"], "features",
-                            FEATURES_MAGIC, 4, np.dtype("<f4"))
+        payload = _Payload.check(path / files["features"])
+        channels = payload.dims[3]
         if manifest.get("channels") is not None \
-                and feats.shape[3] != manifest["channels"]:
+                and channels != manifest["channels"]:
             raise ShapeMismatchError(
-                f"features carry {feats.shape[3]} channels, manifest says "
+                f"features carry {channels} channels, manifest says "
                 f"{manifest['channels']}")
         features = PixelFeatureSet(task_id=descriptor.task_id,
-                                   features=feats, aligned_labels=labels)
+                                   features=payload, aligned_labels=labels)
 
     return TaskBundle(descriptor=descriptor, labels=labels, features=features,
                       extractor=manifest.get("extractor"))
@@ -379,15 +559,16 @@ def flatten_pixels(fs: PixelFeatureSet,
     count exceeds ``sampler.max_pixels`` a seeded uniform subsample without
     replacement is taken (see :mod:`xfersel.rng`), preserving row-major order
     of the chosen indices.  Arithmetic downstream expects the returned
-    features, so they are promoted to float64 here.
+    features, so they are promoted to float64 here.  A set on disk reads
+    only the chosen rows.
     """
     if fs is None or fs.n_pixels == 0:
         raise EmptyFeatureSetError("cannot flatten an empty feature set")
     n_total = fs.n_pixels
-    feats = fs.features.reshape(n_total, fs.channels)
     labels = fs.aligned_labels.masks.reshape(n_total)
+    rows = None
     if n_total > sampler.max_pixels:
-        idx = np.asarray(subsample_indices(n_total, sampler.max_pixels,
-                                           sampler.seed), dtype=np.int64)
-        feats, labels = feats[idx], labels[idx]
-    return feats.astype(np.float64), labels.astype(np.int64)
+        rows = np.asarray(subsample_indices(n_total, sampler.max_pixels,
+                                            sampler.seed), dtype=np.int64)
+        labels = labels[rows]
+    return fs.pixel_rows(rows).astype(np.float64), labels.astype(np.int64)

@@ -54,7 +54,7 @@ from .ranking import (
     write_ranking_csv,
 )
 from .roisim import DEFAULT_MAX_PAIRS, PairingMode, SsimParams, roi_sim
-from .synth import SynthSpec, generate_tasks, probe_transfer
+from .synth import SynthSpec, generate_tasks, probe_target, probe_transfer
 
 DEFAULT_SEED = 42
 
@@ -265,8 +265,9 @@ def cmd_synth_eval(args) -> int:
     report = select(bundles, target, cfg)
     metric_rank = report.final_ranking
     sources = [by_id[t] for t in report.subset2]
+    pixels = probe_target(target)
     accuracies = map_sources(
-        lambda b: probe_transfer(b, target, seed=cfg.sampler.seed).accuracy,
+        lambda b: probe_transfer(b, target, cfg.sampler.seed, pixels).accuracy,
         sources, args.threads)
     probe_rank = build_ranking([(b.task_id, a)
                                 for b, a in zip(sources, accuracies)])

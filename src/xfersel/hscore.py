@@ -72,9 +72,15 @@ def _chunk_pixels(n: int, c: int, k: int) -> int:
 def _pixel_hscores(features: np.ndarray, labels: np.ndarray,
                    pixels: np.ndarray, ridge: float) -> np.ndarray:
     """H-scores of the pixel problems ``features[:, pixels]`` [n, P, C]
-    against ``labels[:, pixels]`` [n, P]; returns [P] float64."""
+    against ``labels[:, pixels]`` [n, P]; returns [P] float64.
+
+    Labels are small non-negative integers (class indices or mask values),
+    so the classes present are found by one comparison per value up to the
+    largest, not by sorting every label.
+    """
     n, _, c = features.shape
-    classes = np.unique(labels)
+    classes = np.array([k for k in range(int(labels.max()) + 1)
+                        if (labels == k).any()], labels.dtype)
     step = _chunk_pixels(n, c, len(classes))
     scores = np.empty(len(pixels))
     for lo in range(0, len(pixels), step):
@@ -115,7 +121,8 @@ def hscore_classification(features: np.ndarray, labels: np.ndarray,
         raise DegenerateInputError("need at least 2 samples")
     if not np.isfinite(feats).all():
         raise NonFiniteFeatureError("features contain NaN/Inf")
-    return float(_pixel_hscores(feats[:, None], labs[:, None],
+    index = np.unique(labs, return_inverse=True)[1].reshape(labs.shape)
+    return float(_pixel_hscores(feats[:, None], index[:, None],
                                 np.zeros(1, np.intp), params.ridge)[0])
 
 

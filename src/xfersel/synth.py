@@ -33,6 +33,7 @@ from .bundle import (
     json_is,
 )
 from .errors import DimensionMismatchError, InvalidSpecError
+from .otce import available_memory_bytes
 from .rng import derive_seed
 
 MEAN_SCALE = 0.15         # class means sit at -+MEAN_SCALE per channel
@@ -120,7 +121,20 @@ def _draw_features(spec: SynthSpec, task_index: int,
 
 
 def generate_tasks(spec: SynthSpec) -> list[TaskBundle]:
-    """Build n_tasks bundles, fully deterministic per spec seed."""
+    """Build n_tasks bundles, fully deterministic per spec seed.
+
+    Every task's uint8 masks and float32 features are kept, and one task's
+    features are drawn through about three float64 arrays of their size.
+    When that is more than the available memory this raises
+    ``InvalidSpecError`` before anything is allocated.
+    """
+    cells = spec.n_samples * spec.height * spec.width
+    need = cells * (spec.n_tasks * (1 + 4 * spec.channels) + 24 * spec.channels)
+    have = available_memory_bytes()
+    if need > have:
+        raise InvalidSpecError(
+            f"synth spec needs about {need / 2**20:,.1f} MiB, more than the "
+            f"{have / 2**20:,.1f} MiB of available memory")
     bundles = []
     for t in range(spec.n_tasks):
         s = spec.signal_strengths[t]
@@ -159,12 +173,22 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray,
     return w
 
 
-def probe_transfer(source: TaskBundle, target: TaskBundle,
-                   seed: int = 42) -> ProbeResult:
+def probe_target(target: TaskBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Every pixel of a target with features, as the probe evaluates it:
+    float64 features [N, C] and foreground flags [N]."""
+    return (target.features.features.reshape(-1, target.features.channels)
+            .astype(np.float64), target.labels.masks.reshape(-1) > 0)
+
+
+def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
+                   target_pixels: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> ProbeResult:
     """Pixel accuracy on the target of a probe fit on the source's pixels.
 
     The training set is a seeded subsample of at most ``PROBE_TRAIN_PIXELS``
     source pixels; evaluation uses every target pixel.  Deterministic per seed.
+    ``target_pixels`` is the target as :func:`probe_target` casts it, which
+    a caller probing one target from many sources passes to cast it once.
     """
     if source.features is None or target.features is None:
         raise DimensionMismatchError("both bundles need features")
@@ -176,8 +200,9 @@ def probe_transfer(source: TaskBundle, target: TaskBundle,
         source.features, SubsampleSpec(max_pixels=PROBE_TRAIN_PIXELS, seed=seed))
     w = _fit_logistic(train_x, (train_y > 0).astype(np.float64))
 
-    eval_x = target.features.features.reshape(-1, target.features.channels)
-    eval_y = target.labels.masks.reshape(-1) > 0
-    logits = eval_x.astype(np.float64) @ w[:-1] + w[-1]
+    if target_pixels is None:
+        target_pixels = probe_target(target)
+    eval_x, eval_y = target_pixels
+    logits = eval_x @ w[:-1] + w[-1]
     accuracy = float(np.mean((logits > 0) == eval_y))
     return ProbeResult(accuracy=accuracy)

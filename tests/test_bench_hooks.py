@@ -13,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from xfersel.bundle import load_bundle, write_bundle
 from xfersel.hscore import HScoreReport
 from xfersel.otce import TransportPlan
 from xfersel.pipeline import SelectionReport
 from xfersel.roisim import RoiSimReport
+
+from conftest import make_bundle
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
@@ -44,3 +47,16 @@ def test_traced_function_resolves(module, attr):
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_traced_report_field_exists(report, field):
     assert field in {f.name for f in dataclasses.fields(report)}
+
+
+@pytest.mark.parametrize("read, value, want", [
+    ("bundle.features.features.nbytes", lambda b: b.features.features.nbytes,
+     3 * 8 * 8 * 4 * 4),
+    ("fs.features.shape", lambda b: b.features.features.shape, (3, 8, 8, 4)),
+], ids=["load-mb", "hscore-grid"])
+def test_tracer_reads_on_loaded_bundles(tmp_path, read, value, want):
+    # the tracer reads these on bundles load_bundle returns, whose payload
+    # stays on disk until the whole array is asked for
+    assert read in LAYERS.read_text()
+    write_bundle(make_bundle(n=3, h=8, w=8, c=4), tmp_path / "b")
+    assert value(load_bundle(tmp_path / "b")) == want

@@ -1,10 +1,14 @@
+import mmap
 import os
 import struct
+import sys
+import threading
 import types
 
 import numpy as np
 import pytest
 
+from xfersel import bundle as bundle_module
 from xfersel.bundle import (
     SubsampleSpec,
     TaskDescriptor,
@@ -217,6 +221,28 @@ def test_loaded_arrays_are_aligned_read_only_and_exact(tmp_path, bundle):
         assert got.tobytes() == want.tobytes()
 
 
+def test_whole_payload_read_once_across_threads(tmp_path):
+    # threads scoring against one target ask for its whole array at once;
+    # it must be read once and every thread handed the same array
+    write_bundle(make_bundle(n=3, h=8, w=8, c=64), tmp_path / "b")
+    loaded = load_bundle(tmp_path / "b")
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(
+            target=lambda: got.append(loaded.features.features))
+            for _ in range(8)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert len(got) == 8 and all(a is got[0] for a in got)
+
+
 class TestFlattenPixels:
     def test_row_major_no_subsampling(self):
         b = make_bundle(n=1, h=2, w=2, c=1, seed=3)
@@ -253,3 +279,49 @@ class TestFlattenPixels:
     def test_empty_rejected(self):
         with pytest.raises(EmptyFeatureSetError):
             flatten_pixels(None, SubsampleSpec())
+
+    @pytest.mark.parametrize("c, max_pixels, read_bytes", [
+        (1, 5, None), (4, 7, None), (4, 192, None), (4, 50, 100),
+        (600, 9, None), (600, 40, 5000), (1100, 3, None)],
+        ids=["c1", "c4", "c4-every-row", "c4-short-reads", "c600",
+             "c600-short-reads", "row-above-read-bytes"])
+    def test_rows_read_from_disk_are_bit_identical(self, tmp_path,
+                                                   monkeypatch, c,
+                                                   max_pixels, read_bytes):
+        # the in-memory array is the reference for the rows read from disk
+        if read_bytes is not None:
+            monkeypatch.setattr(bundle_module, "_READ_BYTES", read_bytes)
+        b = make_bundle(n=3, h=8, w=8, c=c, seed=c)
+        write_bundle(b, tmp_path / "b")
+        loaded = load_bundle(tmp_path / "b")
+        for seed in range(4):
+            spec = SubsampleSpec(max_pixels=max_pixels, seed=seed)
+            (got, got_labels), (want, want_labels) = (
+                flatten_pixels(fs, spec) for fs in (loaded.features,
+                                                    b.features))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(got_labels, want_labels)
+
+    @pytest.mark.parametrize("c", [4, 600])
+    def test_rows_within_a_page_share_one_read(self, tmp_path, monkeypatch,
+                                               c):
+        # 4 channels: the 3 KiB payload is one read; 600 channels: of the
+        # 9 rows of 2400 bytes drawn, rows 47 and 48 share a read and the
+        # others, at least 7200 bytes apart, are one read each on 4 KiB pages
+        b = make_bundle(n=3, h=8, w=8, c=c)
+        write_bundle(b, tmp_path / "b")
+        loaded = load_bundle(tmp_path / "b")
+        offsets = []
+        preadv = os.preadv
+
+        def counted(fd, buffers, offset):
+            offsets.append(offset)
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", counted)
+        rows = np.asarray(subsample_reference(192, 9, 0), dtype=np.int64)
+        flatten_pixels(loaded.features, SubsampleSpec(max_pixels=9, seed=0))
+        starts = 39 + rows * c * 4
+        gaps = np.diff(starts) - c * 4
+        assert len(offsets) == 1 + int((gaps >= mmap.PAGESIZE).sum())

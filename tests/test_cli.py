@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -537,6 +539,10 @@ def _usage(*argv):
      "signal_strengths"),
     (_synth_spec(b'{"n_tasks": "x"}'), "InvalidSpec", "n_tasks"),
     (_synth_spec(b'{"n_tasks": 1\xff}'), "InvalidSpec", "spec.json"),
+    (_synth_spec(b'{"n_tasks": 1, "n_samples": 1, "height": 100000000, '
+                 b'"width": 100000000, "channels": 1, '
+                 b'"signal_strengths": [0.5]}'),
+     "InvalidSpec", "of available memory"),
     (_manifest_key("modality", 5), "MissingManifest", "modality"),
     (_manifest_key("modality", None), "MissingManifest", "modality"),
     (_manifest_key("files", "x"), "MissingManifest", "files"),
@@ -582,7 +588,8 @@ def _usage(*argv):
         "ranking-score-inf", "ranking-not-utf8", "ranking-field-too-long",
         "env-seed", "roi-sim-pairs-0", "synth-spec-not-object",
         "synth-spec-strengths-not-list", "synth-spec-field-type",
-        "synth-spec-not-utf8", "manifest-modality-int",
+        "synth-spec-not-utf8", "synth-spec-huge-dims",
+        "manifest-modality-int",
         "manifest-modality-null", "manifest-files-str",
         "manifest-files-null", "manifest-files-labels-int",
         "manifest-files-features-list", "manifest-positive-class-str",
@@ -604,6 +611,102 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv,
     assert err.startswith(f"ERROR {error}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert detail in err
+
+
+def _truncate(f):
+    os.truncate(f, f.stat().st_size - 4)
+
+
+def _append(f):
+    with open(f, "ab") as fh:
+        fh.write(b"\0" * 4)
+
+
+def _replace_same_size(f):
+    # written to a new file and renamed over the old one, as most tools do
+    tmp = f.with_suffix(".tmp")
+    tmp.write_bytes(f.read_bytes()[::-1])
+    os.replace(tmp, f)
+
+
+def _rewrite_same_size_later(f):
+    # rewritten in place, as a write a second after the load would be
+    stat = f.stat()
+    raw = bytearray(f.read_bytes())
+    raw[-4:] = np.float32(7.0).tobytes()
+    f.write_bytes(bytes(raw))
+    os.utime(f, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+
+
+def _nan_same_identity(f):
+    # NaN over the whole payload, written within the timestamp resolution
+    # of the file system, so the file's size and times are unchanged
+    stat = f.stat()
+    head = 4 + 2 + 1 + 8 * 4
+    with open(f, "r+b") as fh:
+        fh.seek(head)
+        fh.write(np.full((stat.st_size - head) // 4, np.nan,
+                         np.float32).tobytes())
+    os.utime(f, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+
+@pytest.mark.parametrize("metric", ["otce", "hscore"])
+@pytest.mark.parametrize("change, error, detail", [
+    (_truncate, "CorruptBinary", "changed since the bundle was loaded"),
+    (_append, "CorruptBinary", "changed since the bundle was loaded"),
+    (_replace_same_size, "CorruptBinary",
+     "changed since the bundle was loaded"),
+    (_rewrite_same_size_later, "CorruptBinary",
+     "changed since the bundle was loaded"),
+    (_nan_same_identity, "NonFiniteFeature", "features contain NaN/Inf"),
+    (Path.unlink, "IoFailure", "features.bin"),
+], ids=["truncate", "append", "replace-same-size", "rewrite-same-size",
+        "nan-same-identity", "delete"])
+def test_features_changed_after_load(tmp_path, capsys, monkeypatch, metric,
+                                     change, error, detail):
+    # OTCE reads sampled rows of each features.bin, the H-score the whole
+    # target payload; both read after every bundle was loaded and checked
+    pool = _write_default_synth_pool(tmp_path)
+    select = xfersel.cli.select
+
+    def change_then_select(*args, **kwargs):
+        for f in sorted(pool.glob("*/features.bin")):
+            change(f)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(xfersel.cli, "select", change_then_select)
+    code, out, err = run(capsys, "--threads", "1", "select", "--path",
+                         "baseline", "--metric", metric, "--max-pixels", "64",
+                         "--target", str(pool / "synth-05-s1.00"),
+                         "--sources", str(pool))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ERROR {error}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert detail in err
+
+
+def test_select_otce_reads_only_sampled_rows(tmp_path, capsys):
+    # four 8 MiB feature payloads of which OTCE uses 128 rows (64 KiB) each;
+    # loading them into memory peaked at about 42 MiB
+    spec = SynthSpec(n_tasks=4, n_samples=16, height=32, width=32,
+                     channels=128, signal_strengths=(0.0, 0.35, 0.6, 0.9))
+    for b in generate_tasks(spec):
+        write_bundle(b, tmp_path / "pool" / b.task_id)
+    payload = 16 * 32 * 32 * 128 * 4
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "--threads", "1", "select", "--path",
+                             "baseline", "--metric", "otce",
+                             "--max-pixels", "128", "--top-k", "3",
+                             "--target", str(tmp_path / "pool" /
+                                             "synth-03-s0.90"),
+                             "--sources", str(tmp_path / "pool"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
+    assert peak < payload
 
 
 # printed by the solver before its N x N steps ran in row blocks
