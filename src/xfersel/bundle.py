@@ -12,15 +12,19 @@ Features are stored as 32-bit floats; all metric arithmetic downstream is
 done in 64-bit floats.  Bundles are immutable after construction and safe to
 share across threads.
 
-:func:`load_bundle` checks every header and length, reads the labels, and
-leaves the features payload on disk: it checks the payload's finiteness in
-one streaming pass and records the file's identity (device, inode, size,
-mtime).  :func:`flatten_pixels` then reads only the rows it samples, and
-``PixelFeatureSet.features`` reads the whole array on first use and keeps
-it.  Each read checks the identity again, that it did not come up short and
-that the values it read are finite, so a ``features.bin`` changed after
-loading is ``CorruptBinary`` (``NonFiniteFeature`` for a NaN written
-without changing its size or mtime, ``IoFailure`` once deleted).
+One reader, ``_Payload``, serves both files: ``check`` validates the header
+and the payload length and records the file's identity (device, inode,
+size, mtime), ``read()`` returns the whole array and ``read(rows)`` the
+sampled feature rows.  :func:`load_bundle` reads the labels whole and
+leaves the features payload on disk, checking its finiteness in one
+streaming pass.  :func:`flatten_pixels` then reads only the rows it
+samples, and ``PixelFeatureSet.features`` reads the whole array on first
+use and keeps it.  Each read checks the identity again, that it did not
+come up short and that the values it read are finite, so a
+``features.bin`` changed after loading is ``CorruptBinary``
+(``NonFiniteFeature`` for a NaN written without changing its size or mtime,
+``IoFailure`` once deleted).  :func:`write_bundle` writes each header and
+then the array's own buffer, so it holds no copy of a payload.
 """
 
 from __future__ import annotations
@@ -250,12 +254,15 @@ class SubsampleSpec:
 # binary codecs
 # ---------------------------------------------------------------------------
 
-def _encode_array(magic: bytes, arr: np.ndarray, dtype: np.dtype) -> bytes:
-    dims = arr.shape
-    header = struct.pack("<4sHB", magic, FORMAT_VERSION, len(dims))
-    header += struct.pack(f"<{len(dims)}Q", *dims)
-    payload = np.ascontiguousarray(arr, dtype=dtype).tobytes()
-    return header + payload
+def _write_array(file: Path, magic: bytes, arr: np.ndarray,
+                 dtype: np.dtype) -> None:
+    """Write the header, then the array's own buffer; a C-ordered array of
+    ``dtype`` is not copied."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    with open(file, "wb") as fh:
+        fh.write(struct.pack(f"<4sHB{arr.ndim}Q", magic, FORMAT_VERSION,
+                             arr.ndim, *arr.shape))
+        fh.write(arr.data)
 
 
 @contextlib.contextmanager
@@ -277,58 +284,6 @@ def _identity(stat: os.stat_result) -> tuple[int, int, int, int]:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _read_header(file: Path, fh, magic: bytes, ndim: int,
-                 dtype: np.dtype) -> tuple[tuple[int, ...], os.stat_result]:
-    """Check the header of a binary file a manifest references, and its
-    payload length against the dims, before anything is allocated.
-
-    Returns the dims and ``os.fstat`` of the file, with ``fh`` at the
-    payload.
-    """
-    name = file.name
-    head_len = 4 + 2 + 1 + 8 * ndim
-    head = fh.read(head_len)
-    if len(head) < head_len:
-        raise CorruptBinaryError(f"{name}: file shorter than header")
-    got_magic, version, got_ndim = struct.unpack_from("<4sHB", head, 0)
-    if got_magic != magic:
-        raise CorruptBinaryError(f"{name}: bad magic {got_magic!r}")
-    if version != FORMAT_VERSION:
-        raise CorruptBinaryError(f"{name}: unsupported version {version}")
-    if got_ndim != ndim:
-        raise CorruptBinaryError(f"{name}: expected ndim {ndim}, got {got_ndim}")
-    dims = struct.unpack_from(f"<{ndim}Q", head, 7)
-    stat = os.fstat(fh.fileno())
-    _check_length(name, stat.st_size - head_len, dims, dtype)
-    return dims, stat
-
-
-def _check_length(name: str, length: int, dims: tuple, dtype: np.dtype):
-    if length != math.prod(dims) * np.dtype(dtype).itemsize:
-        raise CorruptBinaryError(
-            f"{name}: payload length {length} does not match dims {dims}")
-
-
-def _referenced(file: Path, role: str) -> Path:
-    if not file.is_file():
-        raise MissingManifestError(f"referenced {role} file missing: {file}")
-    return file
-
-
-def _read_array(file: Path, role: str, magic: bytes, ndim: int,
-                dtype: np.dtype) -> np.ndarray:
-    """Read and decode one binary file a manifest references.
-
-    The payload is read into a new array, which numpy aligns whatever the
-    header length; a view at the header's offset would not be.
-    """
-    with _opened(_referenced(file, role)) as fh:
-        dims, _ = _read_header(file, fh, magic, ndim, dtype)
-        arr = np.empty(dims, dtype=dtype)
-        _check_length(file.name, fh.readinto(arr), dims, dtype)
-    return arr
-
-
 def _all_finite(values: np.ndarray) -> bool:
     """``np.isfinite(values).all()``, a block of ``_READ_BYTES`` at a time,
     so no mask of the whole array is made."""
@@ -342,25 +297,53 @@ def _all_finite(values: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class _Payload:
-    """A ``features.bin`` whose header a load checked, left on disk.
+    """A ``labels.bin`` or ``features.bin`` whose header a load checked.
 
     ``identity`` is the file's (device, inode, size, mtime) at that check;
     every later read opens the file and compares it first.  A rewrite that
     keeps the size within the file system's timestamp resolution keeps the
-    identity, and only the finiteness check of each read applies to it.
+    identity, and only the finiteness check of each features read applies
+    to it.
     """
 
     file: Path
     offset: int
     dims: tuple[int, ...]
+    dtype: np.dtype
     identity: tuple[int, int, int, int]
 
     @classmethod
-    def check(cls, file: Path) -> "_Payload":
-        with _opened(_referenced(file, "features")) as fh:
-            dims, stat = _read_header(file, fh, FEATURES_MAGIC, 4,
-                                      _FEATURE_DTYPE)
-            return cls(file, fh.tell(), dims, _identity(stat))
+    def check(cls, file: Path, role: str, magic: bytes, ndim: int,
+              dtype: np.dtype) -> "_Payload":
+        """Check the header of a binary file a manifest references, and its
+        payload length against the dims, before anything is allocated."""
+        if not file.is_file():
+            raise MissingManifestError(
+                f"referenced {role} file missing: {file}")
+        name, head_len = file.name, 4 + 2 + 1 + 8 * ndim
+        with _opened(file) as fh:
+            head = fh.read(head_len)
+            stat = os.fstat(fh.fileno())
+        if len(head) < head_len:
+            raise CorruptBinaryError(f"{name}: file shorter than header")
+        got_magic, version, got_ndim = struct.unpack_from("<4sHB", head, 0)
+        if got_magic != magic:
+            raise CorruptBinaryError(f"{name}: bad magic {got_magic!r}")
+        if version != FORMAT_VERSION:
+            raise CorruptBinaryError(f"{name}: unsupported version {version}")
+        if got_ndim != ndim:
+            raise CorruptBinaryError(
+                f"{name}: expected ndim {ndim}, got {got_ndim}")
+        payload = cls(file, head_len, struct.unpack_from(f"<{ndim}Q", head, 7),
+                      np.dtype(dtype), _identity(stat))
+        payload._expect_length(stat.st_size - head_len)
+        return payload
+
+    def _expect_length(self, length: int):
+        if length != math.prod(self.dims) * self.dtype.itemsize:
+            raise CorruptBinaryError(f"{self.file.name}: payload length "
+                                     f"{length} does not match dims "
+                                     f"{self.dims}")
 
     def _short(self, position: int):
         raise CorruptBinaryError(
@@ -370,7 +353,7 @@ class _Payload:
     def all_finite(self) -> bool:
         """Whether every payload value is finite, in one pass through one
         buffer of ``_READ_BYTES``."""
-        buf = np.empty(_READ_BYTES // 4, _FEATURE_DTYPE)
+        buf = np.empty(_READ_BYTES // self.dtype.itemsize, self.dtype)
         with _opened(self.file, self.identity) as fh:
             fh.seek(self.offset)
             left = math.prod(self.dims)
@@ -384,23 +367,23 @@ class _Payload:
         return True
 
     def read(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The whole payload, or the ascending ``rows`` of its
-        [n_pixels, C] view."""
+        """The whole payload, read into a new array, which numpy aligns
+        whatever the header length (a view at the header's offset would not
+        be); or the ascending ``rows`` of the [n_pixels, C] view."""
         with _opened(self.file, self.identity) as fh:
             if rows is not None:
                 return self._gather(fh.fileno(), rows)
-            out = np.empty(self.dims, _FEATURE_DTYPE)
+            out = np.empty(self.dims, self.dtype)
             fh.seek(self.offset)
-            if fh.readinto(out) != out.nbytes:
-                self._short(fh.tell())
+            self._expect_length(fh.readinto(out))
             return out
 
     def _gather(self, fd: int, rows: np.ndarray) -> np.ndarray:
         """Rows less than a page apart share one ``pread`` of at most
         ``_READ_BYTES`` (or one row); adjacent rows land in place."""
-        width = self.dims[3]
-        row = width * 4
-        out = np.empty((len(rows), width), _FEATURE_DTYPE)
+        width = self.dims[-1]
+        row = width * self.dtype.itemsize
+        out = np.empty((len(rows), width), self.dtype)
         buf = np.empty(max(_READ_BYTES, row), np.uint8)
         starts = (self.offset + rows * row).tolist()
         lo = 0
@@ -415,7 +398,7 @@ class _Payload:
             if os.preadv(fd, [into], starts[lo]) != span:
                 self._short(starts[lo])
             if not adjacent:
-                out[lo:hi] = into.view(_FEATURE_DTYPE).reshape(-1, width)[
+                out[lo:hi] = into.view(self.dtype).reshape(-1, width)[
                     rows[lo:hi] - rows[lo]]
             lo = hi
         return out
@@ -476,13 +459,11 @@ def write_bundle(bundle: TaskBundle, path: str | Path) -> None:
         (path / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
-        (path / LABELS_NAME).write_bytes(
-            _encode_array(LABELS_MAGIC, bundle.labels.masks, np.uint8))
+        _write_array(path / LABELS_NAME, LABELS_MAGIC, bundle.labels.masks,
+                     np.uint8)
         if bundle.features is not None:
-            (path / FEATURES_NAME).write_bytes(
-                _encode_array(FEATURES_MAGIC,
-                              bundle.features.features,
-                              _FEATURE_DTYPE))
+            _write_array(path / FEATURES_NAME, FEATURES_MAGIC,
+                         bundle.features.features, _FEATURE_DTYPE)
     except OSError as exc:
         raise IoFailureError(f"cannot write bundle to {path}: {exc}") from exc
 
@@ -520,20 +501,20 @@ def load_bundle(path: str | Path) -> TaskBundle:
     )
 
     files = manifest["files"]
-    masks = _read_array(path / files.get("labels", LABELS_NAME), "labels",
-                        LABELS_MAGIC, 3, np.uint8)
-
+    masks = _Payload.check(path / files.get("labels", LABELS_NAME), "labels",
+                           LABELS_MAGIC, 3, np.uint8)
     declared = (manifest["n_samples"], manifest["height"], manifest["width"])
-    if tuple(masks.shape) != tuple(declared):
+    if masks.dims != declared:
         raise ShapeMismatchError(
-            f"labels {masks.shape} disagree with manifest {declared}")
+            f"labels {masks.dims} disagree with manifest {declared}")
 
-    labels = LabelMaskSet(task_id=descriptor.task_id, masks=masks,
+    labels = LabelMaskSet(task_id=descriptor.task_id, masks=masks.read(),
                           positive_class=manifest.get("positive_class", 1))
 
     features = None
     if "features" in files:
-        payload = _Payload.check(path / files["features"])
+        payload = _Payload.check(path / files["features"], "features",
+                                 FEATURES_MAGIC, 4, _FEATURE_DTYPE)
         channels = payload.dims[3]
         if manifest.get("channels") is not None \
                 and channels != manifest["channels"]:

@@ -50,8 +50,8 @@ from .ranking import (
     build_ranking,
     footrule_full,
     footrule_topk,
+    ranking_to_csv,
     read_ranking_csv,
-    write_ranking_csv,
 )
 from .roisim import DEFAULT_MAX_PAIRS, PairingMode, SsimParams, roi_sim
 from .synth import SynthSpec, generate_tasks, probe_target, probe_transfer
@@ -83,13 +83,14 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(args, config: dict, result: dict,
-          lines: list[str] | None = None) -> None:
-    """Print the command's document per --format; --output gets a copy.
+def _emit(args, config: dict, result: dict, lines: list[str] | None = None,
+          files: dict[str, str] | None = None) -> None:
+    """Write --output, then print the command's document per --format.
 
     json prints ``{"config", "result"}``; csv prints a ``# config:`` line,
     then ``lines``, by default one ``key,value`` line per result entry.
-    ``select`` writes its --output directory itself.
+    --output gets a copy of the document or, given ``files``, is a directory
+    that receives each named text.  A failed write prints nothing.
     """
     if args.format == "json":
         doc = {"config": config, "result": _round_floats(result)}
@@ -99,9 +100,15 @@ def _emit(args, config: dict, result: dict,
             lines = [f"{key},{_fmt(val)}" for key, val in result.items()]
         text = "\n".join(["# config: " + json.dumps(config, sort_keys=True),
                           *lines]) + "\n"
+    if args.output:
+        out = Path(args.output)
+        if files is None:
+            out.write_text(text, encoding="utf-8", newline="")
+        else:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, body in files.items():
+                (out / name).write_text(body, encoding="utf-8", newline="")
     sys.stdout.write(text)
-    if args.output and args.command != "select":
-        Path(args.output).write_text(text, encoding="utf-8")
 
 
 def _sampler(args) -> SubsampleSpec:
@@ -110,14 +117,18 @@ def _sampler(args) -> SubsampleSpec:
     return SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed % 2**64)
 
 
-def _load_source_bundles(sources_dir: str) -> list[TaskBundle]:
+def _load_source_bundles(sources_dir: str, loaded: dict[Path, TaskBundle]
+                         | None = None) -> list[TaskBundle]:
+    """The bundles under ``sources_dir`` in name order.  A directory in
+    ``loaded`` (by resolved path) is taken as loaded, not read again."""
     root = Path(sources_dir)
     if not root.is_dir():
         raise IoFailureError(f"not a directory: {sources_dir}")
+    loaded = loaded or {}
     bundles = []
     for sub in sorted(p for p in root.iterdir() if p.is_dir()):
         if (sub / "manifest.json").is_file():
-            bundles.append(load_bundle(sub))
+            bundles.append(loaded.get(sub.resolve()) or load_bundle(sub))
     if not bundles:
         raise IoFailureError(f"no bundles under {sources_dir}")
     return bundles
@@ -168,7 +179,9 @@ def cmd_score(args) -> int:
 
 def cmd_select(args) -> int:
     target = load_bundle(args.target)
-    pool = _load_source_bundles(args.sources)
+    # a target under --sources is loaded once; select drops it by task id
+    pool = _load_source_bundles(args.sources,
+                                {Path(args.target).resolve(): target})
     sampler = _sampler(args)
     cfg = SelectionConfig(
         path=SelectionPath(args.path),
@@ -203,12 +216,9 @@ def cmd_select(args) -> int:
                      for r, (t, s) in shown],
            "subset1": list(report.subset1),
            "subset2": list(report.subset2)},
-          [f"{r},{t},{_fmt(s)}" for r, (t, s) in shown])
-    if args.output:
-        out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-        write_ranking_csv(report.final_ranking, out / "ranking.csv")
+          [f"{r},{t},{_fmt(s)}" for r, (t, s) in shown],
+          {"report.json": report.to_json(),
+           "ranking.csv": ranking_to_csv(report.final_ranking)})
     return 0
 
 
@@ -385,6 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.threads < 1:
+            raise InvalidSpecError(
+                f"argument --threads: must be >= 1, got {args.threads}")
         return args.func(args)
     except XferselError as exc:
         sys.stderr.write(f"ERROR {exc.code}: {exc.detail}\n")

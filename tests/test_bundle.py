@@ -3,6 +3,7 @@ import os
 import struct
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -25,6 +26,7 @@ from xfersel.errors import (
     NonFiniteFeatureError,
     ShapeMismatchError,
 )
+from xfersel.synth import SynthSpec, generate_tasks
 
 from conftest import make_bundle
 from oracles import subsample_reference
@@ -201,12 +203,35 @@ def test_short_payload_read(tmp_path, bundle, monkeypatch):
     f = tmp_path / "b" / "labels.bin"
     f.write_bytes(f.read_bytes()[:-1])
     fstat = os.fstat
-    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
-        st_size=fstat(fd).st_size + 1))
+
+    def grown(fd):
+        real = fstat(fd)
+        return types.SimpleNamespace(
+            st_dev=real.st_dev, st_ino=real.st_ino,
+            st_mtime_ns=real.st_mtime_ns, st_size=real.st_size + 1)
+
+    monkeypatch.setattr(os, "fstat", grown)
     with pytest.raises(CorruptBinaryError) as info:
         load_bundle(tmp_path / "b")
     assert info.value.detail == ("labels.bin: payload length 191 does not "
                                  "match dims (3, 8, 8)")
+
+
+def test_write_bundle_streams_payload(tmp_path):
+    # an 8 MiB features payload is written from its own buffer, not a copy
+    b = generate_tasks(SynthSpec(n_tasks=1, n_samples=16, height=32,
+                                 width=32, channels=128,
+                                 signal_strengths=(0.5,)))[0]
+    tracemalloc.start()
+    try:
+        write_bundle(b, tmp_path / "b")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    loaded = load_bundle(tmp_path / "b")
+    assert loaded.labels.masks.tobytes() == b.labels.masks.tobytes()
+    assert loaded.features.features.tobytes() == b.features.features.tobytes()
 
 
 def test_loaded_arrays_are_aligned_read_only_and_exact(tmp_path, bundle):

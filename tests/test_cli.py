@@ -512,6 +512,29 @@ def _score_otce_tiny_epsilon(epsilon):
     return argv
 
 
+def _roi_sim_output_missing_dir(tmp_path, monkeypatch):
+    write_bundle(make_bundle(), tmp_path / "b")
+    return ["--output", str(tmp_path / "missing" / "dir" / "x.csv"),
+            "roi-sim", "--source", str(tmp_path / "b"),
+            "--target", str(tmp_path / "b")]
+
+
+def _select_output_is_file(tmp_path, monkeypatch):
+    pool_dir, target_dir, scores = write_pool(tmp_path)
+    (tmp_path / "out").write_text("")
+    return ["--output", str(tmp_path / "out"), "select",
+            "--target", str(target_dir), "--sources", str(pool_dir),
+            "--metric", "hscore", "--scores-file", str(scores)]
+
+
+def _threads(value):
+    def make_argv(tmp_path, monkeypatch):
+        write_bundle(make_bundle(), tmp_path / "b")
+        return ["--threads", value, "roi-sim", "--source", str(tmp_path / "b"),
+                "--target", str(tmp_path / "b")]
+    return make_argv
+
+
 def _usage(*argv):
     def make_argv(tmp_path, monkeypatch):
         return list(argv)
@@ -582,6 +605,10 @@ def _usage(*argv):
      "plan lost its unit mass at epsilon 1e-300"),
     (_score_otce_tiny_epsilon("5e-324"), "DegenerateInput",
      "potentials are not finite at epsilon 4.94066e-324"),
+    (_roi_sim_output_missing_dir, "IoFailure", "x.csv"),
+    (_select_output_is_file, "IoFailure", "File exists"),
+    (_threads("0"), "InvalidSpec", "--threads"),
+    (_threads("-3"), "InvalidSpec", "--threads"),
 ], ids=["scores-cell", "scores-extra-cell", "scores-not-utf8",
         "scores-field-too-long",
         "ranking-rank", "ranking-score", "ranking-score-nan",
@@ -602,7 +629,8 @@ def _usage(*argv):
         "usage-unknown-command", "scores-file-missing",
         "select-hscore-mixed-channels", "score-otce-featureless-source",
         "score-hscore-epsilon-0", "score-otce-epsilon-1e-300",
-        "score-otce-epsilon-5e-324"])
+        "score-otce-epsilon-5e-324", "roi-sim-output-missing-dir",
+        "select-output-is-file", "threads-0", "threads-negative"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv,
                               error, detail):
     code, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
@@ -707,6 +735,24 @@ def test_select_otce_reads_only_sampled_rows(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 4
     assert peak < payload
+
+
+def test_select_loads_each_bundle_once(tmp_path, capsys, monkeypatch):
+    # the target lies under --sources, as in every synth pool; select drops
+    # it by task id, so a second load of it would be read and checked for
+    # nothing
+    pool = _write_default_synth_pool(tmp_path)
+    loads = []
+    load = xfersel.cli.load_bundle
+    monkeypatch.setattr(xfersel.cli, "load_bundle",
+                        lambda path: loads.append(path) or load(path))
+    code, out, err = run(capsys, "--threads", "1", "select", "--path",
+                         "baseline", "--metric", "otce", "--max-pixels", "64",
+                         "--target", str(pool / "synth-05-s1.00"),
+                         "--sources", str(pool))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2
+    assert len(loads) == len(list(pool.iterdir())) == 6
 
 
 # printed by the solver before its N x N steps ran in row blocks
