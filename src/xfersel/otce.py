@@ -102,6 +102,11 @@ def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
 # [exp(-30), exp(30)], long before float64 overflows or K @ v underflows.
 _ABSORB_LOG = 30.0
 
+# Sweeps run in blocks of at most _SPAN, tested once per block; a block
+# sweeps at most _SPAN_BYTES of kernel, so large kernels take one sweep a block
+_SPAN = 32
+_SPAN_BYTES = 1 << 22
+
 
 def sinkhorn(cost: np.ndarray,
              params: SinkhornParams = SinkhornParams()) -> TransportPlan:
@@ -123,20 +128,30 @@ def sinkhorn(cost: np.ndarray,
     coupling; the log-sum-exp set-up and every rebuild run one row block at
     a time in it, so ``cost`` is never modified.  The set-up leaves
     ``-C/eps + f`` in ``K``, so the first kernel only adds ``g`` and
-    exponentiates in place.  A sweep allocates nothing: the mat-vecs and
-    divides write into vectors allocated once per call, and ``u``, ``v``
-    are the two halves of one scaling vector, so a single log and reduction
-    tests both for absorption.
+    exponentiates in place.
+
+    A sweep allocates nothing and makes four calls, writing ``K v`` into
+    row ``t`` of a ``[span, N_s]`` buffer and the new ``u | v`` into row
+    ``t + 1`` of a ``[span + 1, N_s + N_t]`` history; ``span`` is 32, less
+    once a block would sweep more than 4 MiB of kernel.  After a block one
+    multiply gives every sweep's ``u * K v``, the stop and absorption tests
+    run over it in sweep order, and the solver rewinds to the first sweep
+    that stops or absorbs, so sweeps, absorptions and the plan are bit for
+    bit those of testing after each sweep.  Absorption is searched for only
+    in a block with a scaling outside ``exp(+-(_ABSORB_LOG - 1e-3))``.  A
+    block ends where the log scalings' drift over the block before reaches
+    the absorption bound, so few sweeps past an absorption are discarded.
 
     Iterations stop once the plan's worst row-marginal violation (columns
     are exact after each sweep) drops to ``marginal_tol`` or at
     ``max_iters``.  The row marginal is uniform, so that violation is read
-    off the extremes of ``u * K v``.  Non-convergence is not an error: the
-    plan is returned with its residual in ``final_marginal_error`` and
-    callers decide.  An ``epsilon`` too small for the costs in float64 is
-    an error: non-finite potentials after the set-up, or a final residual
-    that is not finite or exceeds the plan's unit mass, raise
-    ``DegenerateInputError``.
+    off the extremes of ``u * K v``; rounding ``x - a[0]`` is monotone in
+    ``x``, so the smallest row maximum of a block decides whether any of its
+    sweeps can stop.  Non-convergence is not an error: the plan is returned
+    with its residual in ``final_marginal_error`` and callers decide.  An
+    ``epsilon`` too small for the costs in float64 is an error: non-finite
+    potentials after the set-up, or a final residual that is not finite or
+    exceeds the plan's unit mass, raise ``DegenerateInputError``.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
@@ -182,36 +197,70 @@ def sinkhorn(cost: np.ndarray,
             block += g
             np.exp(block, out=block)
 
-        scale = np.ones(n_s + n_t)
-        u, v = scale[:n_s], scale[n_s:]
-        log_scale = np.empty(n_s + n_t)
-        spread = np.empty(n_s + n_t)
-        kv, row, ktu = np.empty(n_s), np.empty(n_s), np.empty(n_t)
+        span = max(1, min(_SPAN, _SPAN_BYTES // kernel.nbytes))
+        # row t + 1 of hist holds u | v after sweep t of a block, row 0 the
+        # scalings the block starts from; row t of kv holds K v of sweep t
+        hist = np.ones((span + 1, n_s + n_t))
+        kv = np.empty((span, n_s))
+        us, vs = [r[:n_s] for r in hist], [r[n_s:] for r in hist]
+        kvs, kernel_t, ktu = list(kv), kernel.T, np.empty(n_t)
+        log_scale, spread = np.empty(n_s + n_t), np.empty(n_s + n_t)
+        # every scaling inside [lo, hi] is well inside the absorption bound
+        hi = math.exp(_ABSORB_LOG - 1e-3)
+        lo = 1.0 / hi
         a0, tol = a[0], params.marginal_tol
+        # max|log| of the scalings a block starts from, and its growth per
+        # sweep over the block before
+        reach = drift = 0.0
         sweeps = 1
         while sweeps < params.max_iters:
-            np.dot(kernel, v, kv)
-            # max|row - a0| <= tol, decided from row's extremes: rounding
-            # row_i - a0 is monotone in row_i
-            np.multiply(u, kv, out=row)
-            if (np.maximum.reduce(row) - a0 <= tol
-                    and a0 - np.minimum.reduce(row) <= tol):
-                break
-            np.divide(a, kv, out=u)
-            np.dot(kernel.T, u, ktu)
-            np.divide(b, ktu, out=v)
-            sweeps += 1
-            np.log(scale, out=log_scale)
-            if np.maximum.reduce(np.absolute(log_scale, out=spread)) \
-                    > _ABSORB_LOG:
+            steps = min(span, params.max_iters - sweeps)
+            ahead = (_ABSORB_LOG - reach) / drift if drift > 0 else math.inf
+            if ahead < steps:
+                steps = max(1, math.ceil(max(ahead, 0.0)))
+            for t in range(steps):
+                np.dot(kernel, vs[t], kvs[t])
+                np.divide(a, kvs[t], out=us[t + 1])
+                np.dot(kernel_t, us[t + 1], ktu)
+                np.divide(b, ktu, out=vs[t + 1])
+            # sweep t stops if max|row - a0| <= tol, decided from row's
+            # extremes: rounding row_i - a0 is monotone in row_i
+            rows = np.multiply(hist[:steps, :n_s], kv[:steps],
+                               out=kv[:steps])
+            peak = rows.max(axis=1)
+            stop = steps
+            if np.fmin.reduce(peak) - a0 <= tol:
+                passed = (peak - a0 <= tol) & (a0 - rows.min(axis=1) <= tol)
+                stop = int(passed.argmax()) if passed.any() else steps
+            # the first sweep before the stop whose scalings absorb; only a
+            # block with a scaling outside [lo, hi] (or NaN) is searched
+            absorb = steps
+            swept = hist[1:stop + 1]
+            if stop and not (lo <= swept.min() and swept.max() <= hi):
+                for t in range(stop):
+                    np.log(hist[t + 1], out=log_scale)
+                    if np.maximum.reduce(np.absolute(log_scale, out=spread)) \
+                            > _ABSORB_LOG:
+                        absorb = t
+                        break
+            if absorb < steps:
+                sweeps += absorb + 1
                 f += log_scale[:n_s]
                 g += log_scale[n_s:]
                 _fill_kernel(kernel, cost, eps, f, g, blocks)
-                scale.fill(1.0)
+                hist[0] = 1.0
+                reach = 0.0
+                continue
+            sweeps += stop
+            hist[0] = hist[stop]
+            if stop < steps:
+                break
+            end = float(np.log(max(hist[0].max(), 1 / hist[0].min())))
+            drift, reach = (end - reach) / steps, end
 
         plan = kernel
-        plan *= u[:, None]
-        plan *= v[None, :]
+        plan *= us[0][:, None]
+        plan *= vs[0][None, :]
         err = _marginal_error(plan, a, b)
     # columns are exact after every sweep, so a unit-mass plan is off by at
     # most 1 on any marginal; more, or NaN, means float64 ran out of range

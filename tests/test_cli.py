@@ -828,6 +828,34 @@ def test_score_golden_output(tmp_path, capsys, monkeypatch, argv):
     assert out == GOLDEN_SCORE[argv[1]]
 
 
+# printed at the parent of the blocked Sinkhorn stop and absorption tests:
+# this pair spends the whole 1000-sweep budget and absorbs 9 times
+GOLDEN_SCORE_BUDGET = """\
+# config: {"command": "score", "epsilon": 0.005, "max_pixels": 128, \
+"metric": "otce", "ridge": 1e-08, "seed": 42, \
+"source": "pool/synth-00-s0.00", "target": "pool/synth-01-s0.20"}
+otce,-0.668868
+ot_cost,0.869898
+sinkhorn_iterations,1000
+sinkhorn_residual,2.494e-04
+source,synth-00-s0.00
+target,synth-01-s0.20
+"""
+
+
+def test_score_budget_bound_absorbing_golden_output(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    _write_default_synth_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "score", "--metric", "otce",
+                         "--source", "pool/synth-00-s0.00",
+                         "--target", "pool/synth-01-s0.20",
+                         "--max-pixels", "128", "--epsilon", "0.005")
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_SCORE_BUDGET
+
+
 def test_score_json_residual_keeps_its_digits(tmp_path, capsys, monkeypatch):
     # 6 dp would print the residual of a converged and an unconverged plan
     # alike, as 0.0

@@ -142,12 +142,17 @@ class TestSinkhorn:
         # every sweep; the plan and the sweep count must not notice
         otce_module = importlib.import_module("xfersel.otce")
         rng = np.random.Generator(np.random.Philox(37))
+        fill = otce_module._fill_kernel
         for _ in range(5):
             cost = rng.random((6, 9))
             base = sinkhorn(cost, SinkhornParams(epsilon=0.02))
+            rebuilds = []
             with monkeypatch.context() as m:
                 m.setattr(otce_module, "_ABSORB_LOG", 0.5)
+                m.setattr(otce_module, "_fill_kernel",
+                          lambda *args: rebuilds.append(1) or fill(*args))
                 absorbed = sinkhorn(cost, SinkhornParams(epsilon=0.02))
+            assert len(rebuilds) > 0
             assert absorbed.iterations_used == base.iterations_used
             assert np.abs(absorbed.coupling - base.coupling).max() <= 1e-12
 
@@ -174,19 +179,25 @@ class TestSinkhorn:
     @given(n_s=st.integers(1, 24), n_t=st.integers(1, 24),
            block_rows=st.integers(1, 24),
            epsilon=st.sampled_from([0.005, 0.02, 0.1, 0.5]),
-           max_iters=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+           max_iters=st.integers(1, 300),
+           span=st.one_of(st.integers(1, 8), st.just(300)),
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_whole_matrix_solver_bit_for_bit(self, n_s, n_t,
                                                      block_rows, epsilon,
-                                                     max_iters, seed):
+                                                     max_iters, span, seed):
         # converged, budget-bound and absorbing runs alike: the in-place
-        # sweep and its stop test from the row extremes change no bit
+        # sweeps, their stop test from the row extremes and the tests run
+        # once per block of `span` sweeps, with the rewind to the first
+        # stop or absorption and a last block cut by the budget, change no
+        # bit; 300 sweeps a block run the whole budget as one block
         rng = np.random.Generator(np.random.Philox(seed))
         channels = int(rng.integers(1, 5))
         cost = cost_matrix(rng.standard_normal((n_s, channels)),
                            rng.standard_normal((n_t, channels)) + 0.5)
         with mock.patch.object(otce_module, "_BLOCK_BYTES",
-                               block_rows * 8 * n_t):
+                               block_rows * 8 * n_t), \
+                mock.patch.object(otce_module, "_SPAN", span):
             plan = sinkhorn(cost, SinkhornParams(epsilon=epsilon,
                                                  max_iters=max_iters))
         expected, sweeps = sinkhorn_whole_matrix_reference(
