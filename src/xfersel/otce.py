@@ -138,9 +138,10 @@ def sinkhorn(cost: np.ndarray,
     run over it in sweep order, and the solver rewinds to the first sweep
     that stops or absorbs, so sweeps, absorptions and the plan are bit for
     bit those of testing after each sweep.  Absorption is searched for only
-    in a block with a scaling outside ``exp(+-(_ABSORB_LOG - 1e-3))``.  A
-    block ends where the log scalings' drift over the block before reaches
-    the absorption bound, so few sweeps past an absorption are discarded.
+    in a block with a scaling outside ``exp(+-(_ABSORB_LOG - 1e-3))``; the
+    sweeps after an absorption in the same block are discarded.  The
+    history and ``K v`` rows take at most 33 rows of ``N_s + N_t`` floats,
+    negligible next to the ``N_s x N_t`` kernel.
 
     Iterations stop once the plan's worst row-marginal violation (columns
     are exact after each sweep) drops to ``marginal_tol`` or at
@@ -209,15 +210,9 @@ def sinkhorn(cost: np.ndarray,
         hi = math.exp(_ABSORB_LOG - 1e-3)
         lo = 1.0 / hi
         a0, tol = a[0], params.marginal_tol
-        # max|log| of the scalings a block starts from, and its growth per
-        # sweep over the block before
-        reach = drift = 0.0
         sweeps = 1
         while sweeps < params.max_iters:
             steps = min(span, params.max_iters - sweeps)
-            ahead = (_ABSORB_LOG - reach) / drift if drift > 0 else math.inf
-            if ahead < steps:
-                steps = max(1, math.ceil(max(ahead, 0.0)))
             for t in range(steps):
                 np.dot(kernel, vs[t], kvs[t])
                 np.divide(a, kvs[t], out=us[t + 1])
@@ -249,14 +244,11 @@ def sinkhorn(cost: np.ndarray,
                 g += log_scale[n_s:]
                 _fill_kernel(kernel, cost, eps, f, g, blocks)
                 hist[0] = 1.0
-                reach = 0.0
                 continue
             sweeps += stop
             hist[0] = hist[stop]
             if stop < steps:
                 break
-            end = float(np.log(max(hist[0].max(), 1 / hist[0].min())))
-            drift, reach = (end - reach) / steps, end
 
         plan = kernel
         plan *= us[0][:, None]
