@@ -148,8 +148,8 @@ def cmd_roi_sim(args) -> int:
               "target": str(args.target), "mode": mode.value,
               "pairs": args.pairs, "seed": args.seed}
     _emit(args, config, {"roi_sim": report.score, "n_pairs": report.n_pairs,
-                         "source": report.source_id,
-                         "target": report.target_id})
+                         "source": source.task_id,
+                         "target": target.task_id})
     return 0
 
 
@@ -173,7 +173,7 @@ def cmd_score(args) -> int:
     else:
         result = {"hscore": rep.score, "skipped_pixels": rep.skipped_pixels}
     _emit(args, config,
-          {**result, "source": rep.source_id, "target": rep.target_id})
+          {**result, "source": source.task_id, "target": target.task_id})
     return 0
 
 

@@ -38,20 +38,15 @@ def reference_table(target_id: str) -> list[dict]:
     """Rows of the benchmark table for one target, in tie-defining order.
 
     Each row is {"task_id": str, "dice": float, "hscore": float,
-    "otce": float}.
+    "otce": float}, read by :func:`read_scores_csv`.
     """
     if target_id not in _FILES:
         raise UnknownTaskError(
             f"no reference table for {target_id!r}; have {TARGETS}")
-    text = resources.files("xfersel.data").joinpath(
-        _FILES[target_id]).read_text(encoding="utf-8")
-    rows = []
-    for rec in csv.DictReader(text.splitlines()):
-        rows.append({"task_id": rec["task_id"],
-                     "dice": float(rec["dice"]),
-                     "hscore": float(rec["hscore"]),
-                     "otce": float(rec["otce"])})
-    return rows
+    with resources.as_file(resources.files("xfersel.data").joinpath(
+            _FILES[target_id])) as path:
+        table = read_scores_csv(path)
+    return [{"task_id": task_id, **row} for task_id, row in table.items()]
 
 
 def reference_scores(target_id: str, column: str) -> list[tuple[str, float]]:

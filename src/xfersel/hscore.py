@@ -54,8 +54,6 @@ class HScoreParams:
 
 @dataclass(frozen=True)
 class HScoreReport:
-    source_id: str
-    target_id: str
     score: float
     skipped_pixels: int
     rank_deficient_pixels: int
@@ -128,8 +126,6 @@ def hscore_classification(features: np.ndarray, labels: np.ndarray,
 
 def hscore_segmentation(fs: PixelFeatureSet,
                         params: HScoreParams = HScoreParams(),
-                        source_id: str | None = None,
-                        target_id: str | None = None,
                         keep_per_pixel: bool = False) -> HScoreReport:
     """Pixel-wise H-score of a feature set against its aligned labels.
 
@@ -149,8 +145,6 @@ def hscore_segmentation(fs: PixelFeatureSet,
     per_pixel = np.zeros(h * w)
     per_pixel[active] = _pixel_hscores(feats, labs, active, params.ridge)
     return HScoreReport(
-        source_id=source_id if source_id is not None else fs.task_id,
-        target_id=target_id if target_id is not None else fs.task_id,
         score=float(per_pixel.sum() / (h * w)),
         skipped_pixels=h * w - len(active),
         rank_deficient_pixels=len(active) if n <= c else 0,

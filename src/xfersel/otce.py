@@ -56,8 +56,6 @@ class JointLabelDistribution:
 
 @dataclass(frozen=True)
 class OtceReport:
-    source_id: str
-    target_id: str
     score: float
     ot_cost: float
     iterations_used: int
@@ -385,7 +383,6 @@ def otce(source: PixelFeatureSet, target: PixelFeatureSet,
     joint = joint_label_distribution(plan, src_labels, tgt_labels)
     score = otce_from_joint(joint)
     ot_cost = float(np.vdot(plan.coupling, cost))
-    return OtceReport(source_id=source.task_id, target_id=target.task_id,
-                      score=score, ot_cost=ot_cost,
+    return OtceReport(score=score, ot_cost=ot_cost,
                       iterations_used=plan.iterations_used,
                       final_marginal_error=plan.final_marginal_error)

@@ -33,7 +33,7 @@ from .errors import (
 from .hscore import HScoreParams, HScoreReport, hscore_segmentation
 from .otce import OtceReport, SinkhornParams, otce, otce_target
 from .ranking import Ranking, build_ranking
-from .roisim import PairingMode, SsimParams, resample_nearest, roi_sim
+from .roisim import PairingMode, SsimParams, aligned_binary, roi_sim
 
 
 class SelectionPath(str, enum.Enum):
@@ -155,18 +155,12 @@ def pooled_class_masks(bundles: list[TaskBundle],
                        reference: LabelMaskSet) -> LabelMaskSet:
     """Pool several tasks' masks into one set on the reference grid.
 
-    Each task's masks are binarized against its own positive class first,
-    then nearest-neighbor resampled to the reference shape, so tasks with
+    Each task's masks are aligned by :func:`aligned_binary`, so tasks with
     heterogeneous class encodings or resolutions can be pooled.
     """
-    h, w = reference.height, reference.width
-    stacks = []
-    for b in bundles:
-        binary = b.labels.binarized().astype(np.uint8)
-        if binary.shape[1:] != (h, w):
-            binary = np.stack([resample_nearest(m, h, w) for m in binary])
-        stacks.append(binary)
-    pooled = np.concatenate(stacks, axis=0)
+    pooled = np.concatenate([
+        aligned_binary(b.labels, reference.height, reference.width).astype(
+            np.uint8) for b in bundles])
     ids = "+".join(b.task_id for b in bundles)
     return LabelMaskSet(task_id=ids, masks=pooled, positive_class=1)
 
@@ -225,9 +219,7 @@ def score_pair(source: TaskBundle, target: TaskBundle, cfg: SelectionConfig,
         raise DimensionMismatchError(
             f"channel counts differ: {source.features.channels} vs "
             f"{fs.channels}")
-    return hscore_segmentation(fs, cfg.hscore_params,
-                               source_id=source.task_id,
-                               target_id=target.task_id)
+    return hscore_segmentation(fs, cfg.hscore_params)
 
 
 def _metric_scores(sources: list[TaskBundle], target: TaskBundle,

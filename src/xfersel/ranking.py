@@ -53,21 +53,25 @@ class FootruleReport:
     k: int | str  # count, or "full"
 
 
+def _ranking(entries: tuple[tuple[str, float], ...],
+             where: str = "") -> Ranking:
+    """The ranking of ``entries``, already best first; ``where`` prefixes
+    error details (a file name)."""
+    position = {}
+    for rank, (task_id, score) in enumerate(entries, 1):
+        if task_id in position:
+            raise DuplicateTaskIdError(f"{where}{task_id}")
+        if not math.isfinite(score):
+            raise NonFiniteScoreError(f"{where}{task_id} has score {score}")
+        position[task_id] = rank
+    return Ranking(entries=entries, position=position)
+
+
 def build_ranking(scores: list[tuple[str, float]]) -> Ranking:
     """Rank (task_id, score) pairs, higher is better, ties by input order."""
     if not scores:
         raise InvalidSpecError("cannot rank an empty score list")
-    seen = set()
-    for task_id, score in scores:
-        if task_id in seen:
-            raise DuplicateTaskIdError(task_id)
-        seen.add(task_id)
-        if not math.isfinite(score):
-            raise NonFiniteScoreError(f"{task_id} has score {score}")
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i][1], i))
-    entries = tuple(scores[i] for i in order)
-    position = {task_id: rank for rank, (task_id, _) in enumerate(entries, 1)}
-    return Ranking(entries=entries, position=position)
+    return _ranking(tuple(sorted(scores, key=lambda e: -e[1])))
 
 
 def footrule_full(pred: Ranking, truth: Ranking) -> FootruleReport:
@@ -136,14 +140,8 @@ def read_ranking_csv(path: str | Path) -> Ranking:
             parsed.append((int(row[2]), row[0], float(row[1])))
         except ValueError as exc:
             raise InvalidSpecError(f"{path}: row {row!r}: {exc}") from exc
-        if not math.isfinite(parsed[-1][2]):
-            raise NonFiniteScoreError(f"{path}: row {row!r}")
     parsed.sort(key=lambda r: r[0])
     if [r[0] for r in parsed] != list(range(1, len(parsed) + 1)):
         raise InvalidSpecError(f"{path}: ranks are not 1..{len(parsed)}")
-    entries = tuple((task_id, score) for _, task_id, score in parsed)
-    ids = [t for t, _ in entries]
-    if len(set(ids)) != len(ids):
-        raise DuplicateTaskIdError(f"{path}: duplicate task ids")
-    position = {task_id: rank for rank, (task_id, _) in enumerate(entries, 1)}
-    return Ranking(entries=entries, position=position)
+    return _ranking(tuple((task_id, score) for _, task_id, score in parsed),
+                    f"{path}: ")

@@ -41,11 +41,6 @@ def word(seed: int, index: int) -> int:
     return int(_words(seed, np.array([index], np.uint64))[0])
 
 
-def derive_seed(seed: int, tag: int) -> int:
-    """A sub-stream seed, used to decorrelate independent sampling stages."""
-    return word(seed, tag)
-
-
 def subsample_indices(n: int, k: int, seed: int) -> list[int]:
     """Choose min(k, n) of ``n`` indices without replacement, ascending.
 

@@ -39,7 +39,8 @@ class SsimParams:
 
     def __post_init__(self):
         if self.k1 <= 0 or self.k2 <= 0 or self.dynamic_range <= 0:
-            raise ValueError("k1, k2 and dynamic_range must be positive")
+            raise InvalidSpecError(
+                "k1, k2 and dynamic_range must be positive")
 
     @property
     def c1(self) -> float:
@@ -52,8 +53,6 @@ class SsimParams:
 
 @dataclass(frozen=True)
 class RoiSimReport:
-    source_id: str
-    target_id: str
     score: float
     n_pairs: int
 
@@ -88,15 +87,14 @@ def resample_nearest(mask: np.ndarray, height: int, width: int) -> np.ndarray:
     return mask[np.ix_(rows, cols)]
 
 
-def _binarized_aligned(source: LabelMaskSet,
-                       target: LabelMaskSet) -> tuple[np.ndarray, np.ndarray]:
-    """Binarize both sets and resample source masks to the target shape."""
-    src = source.binarized()
-    tgt = target.binarized()
-    if src.shape[1:] != tgt.shape[1:]:
-        h, w = tgt.shape[1], tgt.shape[2]
-        src = np.stack([resample_nearest(m, h, w) for m in src])
-    return src, tgt
+def aligned_binary(labels: LabelMaskSet, height: int,
+                   width: int) -> np.ndarray:
+    """``labels`` binarized against its own positive class, then resampled
+    (nearest-neighbor) to ``height`` x ``width`` if its grid differs."""
+    binary = labels.binarized()
+    if binary.shape[1:] != (height, width):
+        binary = np.stack([resample_nearest(m, height, width) for m in binary])
+    return binary
 
 
 def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
@@ -124,7 +122,8 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
     """
     if max_pairs < 1:
         raise InvalidSpecError(f"max_pairs must be >= 1, got {max_pairs}")
-    src, tgt = _binarized_aligned(source, target)
+    src = aligned_binary(source, target.height, target.width)
+    tgt = target.binarized()
 
     if mode is PairingMode.MEAN:
         score = ssim_global(src.mean(axis=0), tgt.mean(axis=0), params)
@@ -139,5 +138,4 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
         score = total / m
         n_pairs = m
 
-    return RoiSimReport(source_id=source.task_id, target_id=target.task_id,
-                        score=float(score), n_pairs=n_pairs)
+    return RoiSimReport(score=float(score), n_pairs=n_pairs)

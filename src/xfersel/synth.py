@@ -34,7 +34,7 @@ from .bundle import (
 )
 from .errors import DimensionMismatchError, InvalidSpecError
 from .otce import available_memory_bytes
-from .rng import derive_seed
+from .rng import word
 
 MEAN_SCALE = 0.15         # class means sit at -+MEAN_SCALE per channel
 NOISE_SIGMA = 1.0         # std of the noise mixed in at weight (1 - s)
@@ -97,7 +97,7 @@ class ProbeResult:
 
 def _task_rng(seed: int, task_index: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(key=derive_seed(seed, task_index * 16 + purpose)))
+        np.random.Philox(key=word(seed, task_index * 16 + purpose)))
 
 
 def _draw_masks(spec: SynthSpec, task_index: int) -> np.ndarray:

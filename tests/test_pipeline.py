@@ -1,9 +1,15 @@
 import importlib
 
+import numpy as np
 import pytest
 
 from xfersel import fixtures
-from xfersel.bundle import SubsampleSpec, TaskDescriptor
+from xfersel.bundle import (
+    LabelMaskSet,
+    SubsampleSpec,
+    TaskBundle,
+    TaskDescriptor,
+)
 from xfersel.errors import (
     InvalidSpecError,
     MissingFeaturesError,
@@ -23,6 +29,7 @@ from xfersel.pipeline import (
     score_pair,
     select,
 )
+from xfersel.roisim import PairingMode, roi_sim
 
 from conftest import make_bundle
 
@@ -99,6 +106,23 @@ class TestRoiFilter:
         subset2, scores = roi_filter([a, b], target, SelectionConfig())
         assert scores["A"] == scores["B"]
         assert [x.task_id for x in subset2] == ["A-1-T2"]
+
+    @pytest.mark.parametrize("mode", list(PairingMode))
+    def test_pooled_member_on_another_grid_and_class(self, mode):
+        # a one-member class pools to that member's own masks, aligned to
+        # the target grid: 8x8 foreground class 2 scored against 4x4 class 1
+        rng = np.random.Generator(np.random.Philox(key=9))
+        member = TaskBundle(
+            descriptor=TaskDescriptor.from_name("ED-1-T2"),
+            labels=LabelMaskSet(task_id="ED-1-T2",
+                                masks=rng.integers(0, 3, (5, 8, 8)),
+                                positive_class=2))
+        target = make_bundle("ET-1-T2", n=3, h=4, w=4, seed=4)
+        cfg = SelectionConfig(pairing_mode=mode)
+        _, scores = roi_filter([member], target, cfg)
+        assert scores == {"ED": roi_sim(member.labels, target.labels,
+                                        cfg.ssim_params, mode,
+                                        cfg.ssim_seed).score}
 
 
 class TestSelect:
@@ -269,6 +293,4 @@ class TestScorePair:
                               hscore_features=side)
         bundle = self.target if side is HScoreFeatures.TARGET else self.source
         assert score_pair(self.source, self.target, cfg) == \
-            hscore_segmentation(bundle.features, params,
-                                source_id=self.source.task_id,
-                                target_id=self.target.task_id)
+            hscore_segmentation(bundle.features, params)

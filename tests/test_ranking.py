@@ -1,4 +1,5 @@
 import itertools
+from importlib import resources
 
 import pytest
 
@@ -165,3 +166,28 @@ class TestCsvRoundTrip:
         path.write_text("task_id,score,rank\na,0.5,1\nb,0.4,3\n")
         with pytest.raises(InvalidSpecError):
             read_ranking_csv(path)
+
+    @pytest.mark.parametrize("rows, error, task", [
+        ("dup-id,0.5,1\ndup-id,0.4,2\n", DuplicateTaskIdError, "dup-id"),
+        ("ok-id,0.5,1\nnan-id,nan,2\n", NonFiniteScoreError, "nan-id"),
+    ])
+    def test_bad_entry_names_file_and_task(self, tmp_path, rows, error, task):
+        path = tmp_path / "r.csv"
+        path.write_text("task_id,score,rank\n" + rows)
+        with pytest.raises(error) as info:
+            read_ranking_csv(path)
+        assert str(path) in str(info.value)
+        assert task in str(info.value)
+
+
+@pytest.mark.parametrize("target", fixtures.TARGETS)
+def test_reference_table_is_the_scores_reader(target):
+    """The packaged tables go through the ``--scores-file`` reader."""
+    path = resources.files("xfersel.data").joinpath(fixtures._FILES[target])
+    rows = fixtures.reference_table(target)
+    file_order = [line.split(",")[0]
+                  for line in path.read_text().splitlines()[1:]]
+    assert rows == [{"task_id": t, **r}
+                    for t, r in fixtures.read_scores_csv(path).items()]
+    assert [r["task_id"] for r in rows] == file_order
+    assert len(rows) == len(set(file_order)) == 16
