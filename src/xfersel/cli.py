@@ -111,6 +111,13 @@ def _emit(args, config: dict, result: dict, lines: list[str] | None = None,
     sys.stdout.write(text)
 
 
+def _echo(args) -> dict:
+    """The config echo of a command whose configuration is its own flags:
+    every parsed argument but those that only steer where and how it runs."""
+    return {key: val for key, val in vars(args).items()
+            if key not in ("threads", "output", "format", "func")}
+
+
 def _sampler(args) -> SubsampleSpec:
     """The pixel sampler of --max-pixels and --seed, the seed taken mod 2**64
     as every seeded command takes it; the echo keeps the seed as given."""
@@ -141,15 +148,13 @@ def _load_source_bundles(sources_dir: str, loaded: dict[Path, TaskBundle]
 def cmd_roi_sim(args) -> int:
     source = load_bundle(args.source)
     target = load_bundle(args.target)
-    mode = PairingMode.MEAN if args.mode == "mean" else PairingMode.PAIRED
-    report = roi_sim(source.labels, target.labels, SsimParams(), mode,
-                     seed=args.seed, max_pairs=args.pairs)
-    config = {"command": "roi-sim", "source": str(args.source),
-              "target": str(args.target), "mode": mode.value,
-              "pairs": args.pairs, "seed": args.seed}
-    _emit(args, config, {"roi_sim": report.score, "n_pairs": report.n_pairs,
-                         "source": source.task_id,
-                         "target": target.task_id})
+    report = roi_sim(source.labels, target.labels, SsimParams(),
+                     PairingMode(args.mode), seed=args.seed,
+                     max_pairs=args.pairs)
+    _emit(args, _echo(args), {"roi_sim": report.score,
+                              "n_pairs": report.n_pairs,
+                              "source": source.task_id,
+                              "target": target.task_id})
     return 0
 
 
@@ -161,10 +166,6 @@ def cmd_score(args) -> int:
         sinkhorn_params=SinkhornParams(epsilon=args.epsilon),
         hscore_params=HScoreParams(ridge=args.ridge),
         sampler=_sampler(args))
-    config = {"command": "score", "metric": args.metric,
-              "source": str(args.source), "target": str(args.target),
-              "max_pixels": args.max_pixels, "seed": args.seed,
-              "epsilon": args.epsilon, "ridge": args.ridge}
     rep = score_pair(source, target, cfg)
     if cfg.metric is Metric.OTCE:
         result = {"otce": rep.score, "ot_cost": rep.ot_cost,
@@ -172,7 +173,7 @@ def cmd_score(args) -> int:
                   "sinkhorn_residual": _Sci(rep.final_marginal_error)}
     else:
         result = {"hscore": rep.score, "skipped_pixels": rep.skipped_pixels}
-    _emit(args, config,
+    _emit(args, _echo(args),
           {**result, "source": source.task_id, "target": target.task_id})
     return 0
 
@@ -282,10 +283,6 @@ def cmd_synth_eval(args) -> int:
     probe_rank = build_ranking([(b.task_id, a)
                                 for b, a in zip(sources, accuracies)])
     probe_acc = dict(probe_rank.entries)
-
-    config = {"command": "synth-eval", "dir": str(args.dir),
-              "target": args.target, "metric": args.metric,
-              "max_pixels": args.max_pixels, "seed": args.seed}
     result = {
         "comparison": [
             {"task_id": t, "metric_score": s, "metric_rank": r,
@@ -301,7 +298,7 @@ def cmd_synth_eval(args) -> int:
     lines += [",".join(_fmt(c[k]) for k in columns)
               for c in result["comparison"]]
     lines += [f"{key},{result[key]}" for key in ("footrule_full", "footrule_top1")]
-    _emit(args, config, result, lines)
+    _emit(args, _echo(args), result, lines)
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Every error carries a short machine-readable ``code`` used by the CLI in its
 ``ERROR <code>: <detail>`` lines and mapped to exit status 2 (validation/I-O)
-or 3 (no compatible source).
+or 3 (no compatible source).  Each class is made by ``_error`` from its code
+alone, so the class for code ``X`` is always ``XError``.
 """
 
 
@@ -20,86 +21,31 @@ class XferselError(Exception):
         return f"{self.code}: {self.detail}" if self.detail else self.code
 
 
-class MissingManifestError(XferselError):
-    code = "MissingManifest"
+def _error(code: str, exit_code: int = 2) -> type[XferselError]:
+    name = f"{code}Error"
+    return type(name, (XferselError,), {
+        "code": code, "exit_code": exit_code,
+        "__module__": __name__, "__qualname__": name})
 
 
-class ShapeMismatchError(XferselError):
-    code = "ShapeMismatch"
-
-
-class CorruptBinaryError(XferselError):
-    code = "CorruptBinary"
-
-
-class NonFiniteFeatureError(XferselError):
-    code = "NonFiniteFeature"
-
-
-class IoFailureError(XferselError):
-    code = "IoFailure"
-
-
-class EmptyFeatureSetError(XferselError):
-    code = "EmptyFeatureSet"
-
-
-class EmptyImageError(XferselError):
-    code = "EmptyImage"
-
-
-class EmptyLabelSetError(XferselError):
-    code = "EmptyLabelSet"
-
-
-class DegenerateInputError(XferselError):
-    code = "DegenerateInput"
-
-
-class DimensionMismatchError(XferselError):
-    code = "DimensionMismatch"
-
-
-class NonFiniteCostError(XferselError):
-    code = "NonFiniteCost"
-
-
-class LengthMismatchError(XferselError):
-    code = "LengthMismatch"
-
-
-class DuplicateTaskIdError(XferselError):
-    code = "DuplicateTaskId"
-
-
-class NonFiniteScoreError(XferselError):
-    code = "NonFiniteScore"
-
-
-class IdSetMismatchError(XferselError):
-    code = "IdSetMismatch"
-
-
-class KOutOfRangeError(XferselError):
-    code = "KOutOfRange"
-
-
-class UnknownTaskError(XferselError):
-    code = "UnknownTask"
-
-
-class NoCompatibleSourceError(XferselError):
-    code = "NoCompatibleSource"
-    exit_code = 3
-
-
-class MissingLabelsError(XferselError):
-    code = "MissingLabels"
-
-
-class MissingFeaturesError(XferselError):
-    code = "MissingFeatures"
-
-
-class InvalidSpecError(XferselError):
-    code = "InvalidSpec"
+MissingManifestError = _error("MissingManifest")
+ShapeMismatchError = _error("ShapeMismatch")
+CorruptBinaryError = _error("CorruptBinary")
+NonFiniteFeatureError = _error("NonFiniteFeature")
+IoFailureError = _error("IoFailure")
+EmptyFeatureSetError = _error("EmptyFeatureSet")
+EmptyImageError = _error("EmptyImage")
+EmptyLabelSetError = _error("EmptyLabelSet")
+DegenerateInputError = _error("DegenerateInput")
+DimensionMismatchError = _error("DimensionMismatch")
+NonFiniteCostError = _error("NonFiniteCost")
+LengthMismatchError = _error("LengthMismatch")
+DuplicateTaskIdError = _error("DuplicateTaskId")
+NonFiniteScoreError = _error("NonFiniteScore")
+IdSetMismatchError = _error("IdSetMismatch")
+KOutOfRangeError = _error("KOutOfRange")
+UnknownTaskError = _error("UnknownTask")
+NoCompatibleSourceError = _error("NoCompatibleSource", exit_code=3)
+MissingLabelsError = _error("MissingLabels")
+MissingFeaturesError = _error("MissingFeatures")
+InvalidSpecError = _error("InvalidSpec")

@@ -1,9 +1,13 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private name the package defines is read somewhere in it.
 
-A deletion that leaves its import behind passes every other test, so this
-guard reads each module's source with ``ast`` and fails on an imported name
-the module never reads.  ``__init__.py`` files are skipped: their imports are
-the package's re-exports.
+A deletion that leaves its import or its private helper behind passes every
+other test, so these guards read the package's source with ``ast``.  They
+fail on an imported name the module never reads (``__init__.py`` files are
+skipped: their imports are the package's re-exports), and on a module-level
+private ``def``, ``class`` or assignment, or a private method, whose name no
+module under ``src/xfersel/`` reads.  Private means a leading ``_`` and not
+a dunder.
 """
 
 import ast
@@ -45,3 +49,60 @@ def test_no_unused_import(path):
 def test_guard_sees_a_leftover_import():
     assert _unused_imports("import os\nfrom a import b, c\nc()\n") == \
         {"os", "b"}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Private module-level names and private method names of ``tree``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            names |= {f.name for f in cls.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return {n for n in names if _is_private(n)}
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names and attribute names that ``tree`` reads (not only assigns)."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and not isinstance(n.ctx, ast.Store)}
+
+
+def _unread_private_names(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of every private definition no source reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*map(_reads, trees.values()))
+    return {f"{module}.{name}" for module, tree in trees.items()
+            for name in _private_definitions(tree) - read}
+
+
+def test_no_unread_private_name():
+    unread = _unread_private_names(
+        {str(p.relative_to(PACKAGE).with_suffix("")): p.read_text()
+         for p in sorted(PACKAGE.rglob("*.py"))})
+    assert not unread, f"defined but never read: {sorted(unread)}"
+
+
+def test_guard_sees_an_unread_private_name():
+    source = ("_USED = 1\n_UNUSED = 2\n__dunder__ = 3\n"
+              "def _helper(): return _USED\n"
+              "class _Kept:\n"
+              "    def _method(self): return self._other()\n"
+              "    def _other(self): return 0\n"
+              "    def __init__(self): self._stored = 1\n")
+    assert _unread_private_names({"m": source, "n": "_Kept()\n"}) == \
+        {"m._UNUSED", "m._helper", "m._method"}

@@ -137,6 +137,17 @@ class TestSinkhorn:
         expected = sinkhorn_log_reference(cost, 0.1)
         assert np.abs(coupling - expected).max() <= 1e-9
 
+    def test_column_that_underflows_from_every_row(self):
+        # exp(-C/eps) of the last two columns is 0 in the only row (C/eps up
+        # to 2000); a set-up of f = min_j C_ij/eps, g = 0 would leave them
+        # unreachable, but the log-domain set-up balances them in one sweep
+        plan = sinkhorn(np.array([[0.0, 5.0, 10.0]]),
+                        SinkhornParams(epsilon=0.005))
+        np.testing.assert_allclose(plan.coupling, [[1 / 3, 1 / 3, 1 / 3]],
+                                   rtol=0, atol=1e-12)
+        assert plan.iterations_used == 1
+        assert plan.final_marginal_error <= 1e-9
+
     def test_absorption_leaves_plan_unchanged(self, monkeypatch):
         # a tiny threshold folds the scalings into the potentials almost
         # every sweep; the plan and the sweep count must not notice
