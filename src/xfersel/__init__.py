@@ -50,7 +50,7 @@ from .ranking import (
     read_ranking_csv,
     write_ranking_csv,
 )
-from .roisim import PairingMode, RoiSimReport, SsimParams, roi_sim, ssim_global
+from .roisim import PairingMode, RoiSimReport, roi_sim, ssim_global
 from .synth import ProbeResult, SynthSpec, generate_tasks, probe_transfer
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "SelectionPath",
     "SelectionReport",
     "SinkhornParams",
-    "SsimParams",
     "SubsampleSpec",
     "SynthSpec",
     "TaskBundle",

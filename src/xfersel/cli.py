@@ -53,7 +53,7 @@ from .ranking import (
     ranking_to_csv,
     read_ranking_csv,
 )
-from .roisim import DEFAULT_MAX_PAIRS, PairingMode, SsimParams, roi_sim
+from .roisim import DEFAULT_MAX_PAIRS, PairingMode, roi_sim
 from .synth import SynthSpec, generate_tasks, probe_target, probe_transfer
 
 DEFAULT_SEED = 42
@@ -148,9 +148,8 @@ def _load_source_bundles(sources_dir: str, loaded: dict[Path, TaskBundle]
 def cmd_roi_sim(args) -> int:
     source = load_bundle(args.source)
     target = load_bundle(args.target)
-    report = roi_sim(source.labels, target.labels, SsimParams(),
-                     PairingMode(args.mode), seed=args.seed,
-                     max_pairs=args.pairs)
+    report = roi_sim(source.labels, target.labels, PairingMode(args.mode),
+                     seed=args.seed, max_pairs=args.pairs)
     _emit(args, _echo(args), {"roi_sim": report.score,
                               "n_pairs": report.n_pairs,
                               "source": source.task_id,
@@ -183,7 +182,6 @@ def cmd_select(args) -> int:
     # a target under --sources is loaded once; select drops it by task id
     pool = _load_source_bundles(args.sources,
                                 {Path(args.target).resolve(): target})
-    sampler = _sampler(args)
     cfg = SelectionConfig(
         path=SelectionPath(args.path),
         metric=Metric(args.metric),
@@ -193,8 +191,7 @@ def cmd_select(args) -> int:
                                   else NoMatchPolicy.ERROR),
         sinkhorn_params=SinkhornParams(epsilon=args.epsilon),
         hscore_params=HScoreParams(ridge=args.ridge),
-        sampler=sampler,
-        ssim_seed=sampler.seed,
+        sampler=_sampler(args),
         threads=args.threads,
     )
     scores = None

@@ -33,7 +33,7 @@ from .errors import (
 from .hscore import HScoreParams, HScoreReport, hscore_segmentation
 from .otce import OtceReport, SinkhornParams, otce, otce_target
 from .ranking import Ranking, build_ranking
-from .roisim import PairingMode, SsimParams, aligned_binary, roi_sim
+from .roisim import aligned_binary, roi_sim
 
 
 class SelectionPath(str, enum.Enum):
@@ -76,9 +76,6 @@ class SelectionConfig:
     hscore_params: HScoreParams = field(default_factory=HScoreParams)
     sinkhorn_params: SinkhornParams = field(default_factory=SinkhornParams)
     sampler: SubsampleSpec = field(default_factory=SubsampleSpec)
-    ssim_params: SsimParams = field(default_factory=SsimParams)
-    pairing_mode: PairingMode = PairingMode.PAIRED
-    ssim_seed: int = 42
     hscore_features: HScoreFeatures = HScoreFeatures.TARGET
     threads: int = 1
 
@@ -170,7 +167,8 @@ def roi_filter(subset1: list[TaskBundle], target: TaskBundle,
     """Keep the sources of the top-m RoI classes by pooled shape similarity.
 
     One RoI-Sim score is computed per class (all of that class's masks
-    pooled against the target's), classes tie-break by ascending name.
+    pooled against the target's, in PAIRED mode with its pairs drawn from
+    ``cfg.sampler.seed``), classes tie-break by ascending name.
     """
     if not subset1:
         raise NoCompatibleSourceError("subset 1 is empty")
@@ -183,9 +181,8 @@ def roi_filter(subset1: list[TaskBundle], target: TaskBundle,
     scores = {}
     for roi_class, members in by_class.items():
         pooled = pooled_class_masks(members, target.labels)
-        report = roi_sim(pooled, target.labels, cfg.ssim_params,
-                         cfg.pairing_mode, cfg.ssim_seed)
-        scores[roi_class] = report.score
+        scores[roi_class] = roi_sim(pooled, target.labels,
+                                    seed=cfg.sampler.seed).score
 
     keep = sorted(scores, key=lambda c: (-scores[c], c))[:cfg.roi_keep_classes]
     kept_classes = set(keep)

@@ -7,8 +7,9 @@ divisor n):
     ssim(x, y) = (2*mu_x*mu_y + C1) * (2*cov_xy + C2)
                  / ((mu_x^2 + mu_y^2 + C1) * (var_x + var_y + C2))
 
-with C1 = (k1*L)^2 and C2 = (k2*L)^2.  Two aggregation modes lift this to
-mask sets: ``PAIRED`` scores a seeded sample of index pairs and averages,
+with C1 = (k1*L)^2 and C2 = (k2*L)^2 at the constants of Wang et al. (2004),
+k1 = 0.01, k2 = 0.03 and L = 1.  Two aggregation modes lift this to mask
+sets: ``PAIRED`` scores a seeded sample of index pairs and averages,
 ``MEAN`` scores the per-pixel mean foreground-occupancy masks once.
 """
 
@@ -24,6 +25,8 @@ from .errors import EmptyImageError, InvalidSpecError, ShapeMismatchError
 from .rng import subsample_indices
 
 DEFAULT_MAX_PAIRS = 256
+_C1 = (0.01 * 1.0) ** 2
+_C2 = (0.03 * 1.0) ** 2
 
 
 class PairingMode(str, enum.Enum):
@@ -32,33 +35,12 @@ class PairingMode(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class SsimParams:
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 1.0
-
-    def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0 or self.dynamic_range <= 0:
-            raise InvalidSpecError(
-                "k1, k2 and dynamic_range must be positive")
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
-
-
-@dataclass(frozen=True)
 class RoiSimReport:
     score: float
     n_pairs: int
 
 
-def ssim_global(x: np.ndarray, y: np.ndarray,
-                params: SsimParams = SsimParams()) -> float:
+def ssim_global(x: np.ndarray, y: np.ndarray) -> float:
     """Global SSIM of two 2-D float images (one window, population stats)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -71,9 +53,8 @@ def ssim_global(x: np.ndarray, y: np.ndarray,
     var_x = np.mean((x - mu_x) ** 2)
     var_y = np.mean((y - mu_y) ** 2)
     cov_xy = np.mean((x - mu_x) * (y - mu_y))
-    c1, c2 = params.c1, params.c2
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov_xy + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov_xy + _C2)
+    den = (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
     return float(num / den)
 
 
@@ -98,7 +79,6 @@ def aligned_binary(labels: LabelMaskSet, height: int,
 
 
 def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
-            params: SsimParams = SsimParams(),
             mode: PairingMode = PairingMode.PAIRED,
             seed: int = 42,
             max_pairs: int = DEFAULT_MAX_PAIRS) -> RoiSimReport:
@@ -126,7 +106,7 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
     tgt = target.binarized()
 
     if mode is PairingMode.MEAN:
-        score = ssim_global(src.mean(axis=0), tgt.mean(axis=0), params)
+        score = ssim_global(src.mean(axis=0), tgt.mean(axis=0))
         n_pairs = 1
     else:
         m = min(src.shape[0], tgt.shape[0], max_pairs)
@@ -134,7 +114,7 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
         idx_tgt = subsample_indices(tgt.shape[0], m, seed)
         total = 0.0
         for i, j in zip(idx_src, idx_tgt):
-            total += ssim_global(src[i], tgt[j], params)
+            total += ssim_global(src[i], tgt[j])
         score = total / m
         n_pairs = m
 

@@ -32,7 +32,11 @@ from .bundle import (
     flatten_pixels,
     json_is,
 )
-from .errors import DimensionMismatchError, InvalidSpecError
+from .errors import (
+    DimensionMismatchError,
+    InvalidSpecError,
+    MissingFeaturesError,
+)
 from .otce import available_memory_bytes
 from .rng import word
 
@@ -190,8 +194,9 @@ def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
     ``target_pixels`` is the target as :func:`probe_target` casts it, which
     a caller probing one target from many sources passes to cast it once.
     """
-    if source.features is None or target.features is None:
-        raise DimensionMismatchError("both bundles need features")
+    for b in (source, target):
+        if b.features is None:
+            raise MissingFeaturesError(f"probe needs features on {b.task_id}")
     if source.features.channels != target.features.channels:
         raise DimensionMismatchError(
             f"channel counts differ: {source.features.channels} vs "

@@ -25,6 +25,7 @@ from xfersel.errors import (
     MissingManifestError,
     NonFiniteFeatureError,
     ShapeMismatchError,
+    XferselError,
 )
 from xfersel.synth import SynthSpec, generate_tasks
 
@@ -48,6 +49,16 @@ class TestDescriptor:
     def test_empty_id_rejected(self):
         with pytest.raises(InvalidSpecError):
             TaskDescriptor(task_id="", roi_class="ED", modality="T1")
+
+
+@pytest.mark.parametrize("call, detail", [
+    (lambda: TaskDescriptor.from_name("ET"), "cannot parse task name 'ET'"),
+    (lambda: SubsampleSpec(seed=2**64), "seed must fit in 64 unsigned bits"),
+], ids=["one-part-name", "seed-over-64-bits"])
+def test_spec_guards(call, detail):
+    with pytest.raises(XferselError) as info:
+        call()
+    assert (info.value.code, info.value.detail) == ("InvalidSpec", detail)
 
 
 class TestBundleIo:
@@ -198,23 +209,44 @@ def test_loader_error_contract(tmp_path, bundle, name, corrupt, details):
 
 
 def test_short_payload_read(tmp_path, bundle, monkeypatch):
-    # a file that shrinks after its size was taken reads short
-    write_bundle(bundle, tmp_path / "b")
-    f = tmp_path / "b" / "labels.bin"
-    f.write_bytes(f.read_bytes()[:-1])
-    fstat = os.fstat
+    # a file that shrinks after its size was taken reads short: the labels
+    # read whole, the features in the load's streaming pass, and the sampled
+    # rows of a loaded set whose file lost its last byte but kept its mtime
+    fstat, grown = os.fstat, set()
 
-    def grown(fd):
+    def reported(fd):
         real = fstat(fd)
+        if real.st_ino not in grown:
+            return real
         return types.SimpleNamespace(
             st_dev=real.st_dev, st_ino=real.st_ino,
             st_mtime_ns=real.st_mtime_ns, st_size=real.st_size + 1)
 
-    monkeypatch.setattr(os, "fstat", grown)
-    with pytest.raises(CorruptBinaryError) as info:
-        load_bundle(tmp_path / "b")
-    assert info.value.detail == ("labels.bin: payload length 191 does not "
-                                 "match dims (3, 8, 8)")
+    def shrink(f):
+        before = os.stat(f)
+        f.write_bytes(f.read_bytes()[:-1])
+        os.utime(f, ns=(before.st_atime_ns, before.st_mtime_ns))
+        grown.add(before.st_ino)
+
+    monkeypatch.setattr(os, "fstat", reported)
+    for d in ("labels", "stream", "rows"):
+        write_bundle(bundle, tmp_path / d)
+    loaded = load_bundle(tmp_path / "rows")
+    shrink(tmp_path / "labels" / "labels.bin")
+    shrink(tmp_path / "stream" / "features.bin")
+    shrink(tmp_path / "rows" / "features.bin")
+    changed = "; the file changed since the bundle was loaded"
+    # features.bin: a 39-byte header, then 192 rows of 4 float32 (16 bytes)
+    for read, detail in [
+            (lambda: load_bundle(tmp_path / "labels"),
+             "labels.bin: payload length 191 does not match dims (3, 8, 8)"),
+            (lambda: load_bundle(tmp_path / "stream"),
+             "features.bin: read short at byte 3110" + changed),
+            (lambda: loaded.features.pixel_rows(np.array([191])),
+             "features.bin: read short at byte 3095" + changed)]:
+        with pytest.raises(CorruptBinaryError) as info:
+            read()
+        assert info.value.detail == detail
 
 
 def test_write_bundle_streams_payload(tmp_path):

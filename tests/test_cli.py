@@ -759,13 +759,11 @@ def test_select_loads_each_bundle_once(tmp_path, capsys, monkeypatch):
 GOLDEN_SELECT_OTCE = """\
 # config: {"command": "select", "hscore_features": "target", \
 "hscore_params": {"ridge": 1e-08}, "metric": "otce", \
-"no_modality_match_policy": "error", "pairing_mode": "paired", \
-"path": "baseline", "roi_keep_classes": 1, \
+"no_modality_match_policy": "error", "path": "baseline", "roi_keep_classes": 1, \
 "sampler": {"max_pixels": 256, "seed": 42}, "scores_file": null, \
 "seed": 42, "sinkhorn_params": {"epsilon": 0.1, "marginal_tol": 1e-09, \
-"max_iters": 1000}, "sources": "pool", \
-"ssim_params": {"dynamic_range": 1.0, "k1": 0.01, "k2": 0.03}, \
-"ssim_seed": 42, "target": "pool/synth-05-s1.00", "top_k": 5}
+"max_iters": 1000}, "sources": "pool", "target": "pool/synth-05-s1.00", \
+"top_k": 5}
 1,synth-04-s0.80,-0.421732
 2,synth-03-s0.60,-0.564943
 3,synth-02-s0.40,-0.578867

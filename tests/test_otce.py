@@ -14,6 +14,7 @@ from xfersel.errors import (
     InvalidSpecError,
     LengthMismatchError,
     NonFiniteCostError,
+    XferselError,
 )
 from xfersel.otce import (
     JointLabelDistribution,
@@ -461,3 +462,31 @@ class TestOtcePipeline:
         assert otce_module.available_memory_bytes() == physical
         monkeypatch.setattr(otce_module, "MEMINFO", str(tmp_path / "missing"))
         assert otce_module.available_memory_bytes() == physical
+
+
+def _plan(n_s, n_t):
+    return TransportPlan(coupling=np.full((n_s, n_t), 1.0 / (n_s * n_t)),
+                         iterations_used=0, final_marginal_error=0.0)
+
+
+@pytest.mark.parametrize("call, code, detail", [
+    (lambda: SinkhornParams(marginal_tol=0.0), "InvalidSpec",
+     "marginal_tol must be > 0 and finite"),
+    (lambda: SinkhornParams(marginal_tol=-1e-9), "InvalidSpec",
+     "marginal_tol must be > 0 and finite"),
+    (lambda: SinkhornParams(max_iters=0), "InvalidSpec",
+     "max_iters must be >= 1"),
+    (lambda: cost_matrix(np.ones(3), np.ones((2, 3))), "DimensionMismatch",
+     "feature lists must be 2-D [N, C]"),
+    (lambda: cost_matrix(np.ones((0, 3)), np.ones((2, 3))),
+     "DimensionMismatch", "feature lists must be non-empty"),
+    (lambda: sinkhorn(np.ones(3)), "NonFiniteCost",
+     "cost must be a non-empty 2-D matrix"),
+    (lambda: joint_label_distribution(_plan(2, 3), [0, 1], [0, 1]),
+     "LengthMismatch", "2 target labels for 3 coupling columns"),
+], ids=["marginal-tol-0", "marginal-tol-negative", "max-iters-0",
+        "cost-1d", "cost-empty", "sinkhorn-1d", "joint-target-labels"])
+def test_input_guards(call, code, detail):
+    with pytest.raises(XferselError) as info:
+        call()
+    assert (info.value.code, info.value.detail) == (code, detail)

@@ -107,8 +107,7 @@ class TestRoiFilter:
         assert scores["A"] == scores["B"]
         assert [x.task_id for x in subset2] == ["A-1-T2"]
 
-    @pytest.mark.parametrize("mode", list(PairingMode))
-    def test_pooled_member_on_another_grid_and_class(self, mode):
+    def test_pooled_member_on_another_grid_and_class(self):
         # a one-member class pools to that member's own masks, aligned to
         # the target grid: 8x8 foreground class 2 scored against 4x4 class 1
         rng = np.random.Generator(np.random.Philox(key=9))
@@ -118,11 +117,11 @@ class TestRoiFilter:
                                 masks=rng.integers(0, 3, (5, 8, 8)),
                                 positive_class=2))
         target = make_bundle("ET-1-T2", n=3, h=4, w=4, seed=4)
-        cfg = SelectionConfig(pairing_mode=mode)
+        cfg = SelectionConfig(sampler=SubsampleSpec(seed=7))
         _, scores = roi_filter([member], target, cfg)
         assert scores == {"ED": roi_sim(member.labels, target.labels,
-                                        cfg.ssim_params, mode,
-                                        cfg.ssim_seed).score}
+                                        PairingMode.PAIRED,
+                                        cfg.sampler.seed).score}
 
 
 class TestSelect:

@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xfersel.bundle import LabelMaskSet
-from xfersel.errors import (
-    EmptyImageError,
-    InvalidSpecError,
-    ShapeMismatchError,
-)
+from xfersel.errors import EmptyImageError, ShapeMismatchError
 from xfersel.roisim import (
     PairingMode,
-    SsimParams,
     resample_nearest,
     roi_sim,
     ssim_global,
@@ -96,12 +91,6 @@ class TestSsimGlobal:
     def test_empty_image(self):
         with pytest.raises(EmptyImageError):
             ssim_global(np.zeros((0, 2)), np.zeros((0, 2)))
-
-    @pytest.mark.parametrize("field", ["k1", "k2", "dynamic_range"])
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_non_positive_params_rejected(self, field, value):
-        with pytest.raises(InvalidSpecError, match=field):
-            SsimParams(**{field: value})
 
 
 class TestResample:

@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from xfersel.bundle import SubsampleSpec, load_bundle, write_bundle
-from xfersel.errors import DimensionMismatchError, InvalidSpecError
+from xfersel.errors import (
+    DimensionMismatchError,
+    InvalidSpecError,
+    MissingFeaturesError,
+)
 from xfersel.hscore import hscore_segmentation
 from xfersel.otce import otce
 from xfersel.synth import SynthSpec, generate_tasks, probe_transfer
@@ -87,6 +93,16 @@ class TestProbe:
         b = generate_tasks(spec)[0]
         with pytest.raises(DimensionMismatchError):
             probe_transfer(a, b)
+
+    @pytest.mark.parametrize("bare", ["source", "target"])
+    def test_missing_features_names_the_bundle(self, bare):
+        with_features, other = generate_tasks(small_spec([0.5, 0.8]))
+        without = dataclasses.replace(other, features=None)
+        pair = ((without, with_features) if bare == "source"
+                else (with_features, without))
+        with pytest.raises(MissingFeaturesError) as info:
+            probe_transfer(*pair)
+        assert info.value.detail == f"probe needs features on {other.task_id}"
 
 
 class TestMonotoneSignal:
