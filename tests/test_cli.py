@@ -934,6 +934,289 @@ def test_synth_json_golden_output(tmp_path, capsys, monkeypatch):
     assert out == GOLDEN_SYNTH_JSON
 
 
+# the byte-identity matrix on the default synth pool, printed before the
+# score tables and rankings shared one CSV reader
+GOLDEN_MATRIX = {
+    "roi-sim": """\
+# config: {"command": "roi-sim", "mode": "paired", "pairs": 256, "seed": 42, \
+"source": "pool/synth-00-s0.00", "target": "pool/synth-05-s1.00"}
+roi_sim,-0.028465
+n_pairs,16
+source,synth-00-s0.00
+target,synth-05-s1.00
+""",
+    "roi-sim-mean-json": """\
+{
+  "config": {
+    "command": "roi-sim",
+    "mode": "mean",
+    "pairs": 256,
+    "seed": 42,
+    "source": "pool/synth-00-s0.00",
+    "target": "pool/synth-05-s1.00"
+  },
+  "result": {
+    "n_pairs": 1,
+    "roi_sim": -0.090091,
+    "source": "synth-00-s0.00",
+    "target": "synth-05-s1.00"
+  }
+}
+""",
+    "select-guided-hscore-json": """\
+{
+  "config": {
+    "command": "select",
+    "hscore_features": "target",
+    "hscore_params": {
+      "ridge": 1e-08
+    },
+    "metric": "hscore",
+    "no_modality_match_policy": "error",
+    "path": "guided",
+    "roi_keep_classes": 1,
+    "sampler": {
+      "max_pixels": 4096,
+      "seed": 42
+    },
+    "scores_file": null,
+    "seed": 42,
+    "sinkhorn_params": {
+      "epsilon": 0.1,
+      "marginal_tol": 1e-09,
+      "max_iters": 1000
+    },
+    "sources": "pool",
+    "target": "pool/synth-05-s1.00",
+    "top_k": 1
+  },
+  "result": {
+    "subset1": [
+      "synth-00-s0.00",
+      "synth-01-s0.20",
+      "synth-02-s0.40",
+      "synth-03-s0.60",
+      "synth-04-s0.80"
+    ],
+    "subset2": [
+      "synth-00-s0.00",
+      "synth-01-s0.20",
+      "synth-02-s0.40",
+      "synth-03-s0.60",
+      "synth-04-s0.80"
+    ],
+    "top_k": [
+      {
+        "rank": 1,
+        "score": 0.998047,
+        "task_id": "synth-00-s0.00"
+      }
+    ]
+  }
+}
+""",
+    "synth-eval-hscore": """\
+# config: {"command": "synth-eval", "dir": "pool", "max_pixels": 512, \
+"metric": "hscore", "seed": 42, "target": "synth-05-s1.00"}
+task_id,metric_score,metric_rank,probe_accuracy,probe_rank
+synth-04-s0.80,0.666113,1,1.000000,2
+synth-03-s0.60,0.386574,2,1.000000,1
+synth-02-s0.40,0.291472,3,0.649414,5
+synth-01-s0.20,0.275377,4,0.649414,4
+synth-00-s0.00,0.266798,5,0.649414,3
+footrule_full,6
+footrule_top1,1
+""",
+    "footrule": """\
+# config: {"command": "footrule", "pred": "pred.csv", "top_k": "full", \
+"truth": "truth.csv"}
+footrule,100
+k,full
+""",
+    "footrule-top2-json": """\
+{
+  "config": {
+    "command": "footrule",
+    "pred": "pred.csv",
+    "top_k": 2,
+    "truth": "truth.csv"
+  },
+  "result": {
+    "footrule": 10,
+    "k": 2
+  }
+}
+""",
+}
+
+_POOL_ARGS = ("--source", "pool/synth-00-s0.00", "--target",
+              "pool/synth-05-s1.00")
+_SELECT_ARGS = ("--target", "pool/synth-05-s1.00", "--sources", "pool")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("roi-sim", ["roi-sim", *_POOL_ARGS]),
+    ("roi-sim-mean-json",
+     ["--format", "json", "roi-sim", "--mode", "mean", *_POOL_ARGS]),
+    ("select-guided-hscore-json",
+     ["--format", "json", "select", "--path", "guided", "--metric", "hscore",
+      *_SELECT_ARGS]),
+    ("synth-eval-hscore",
+     ["synth-eval", "--dir", "pool", "--target", "synth-05-s1.00",
+      "--metric", "hscore"]),
+    ("footrule", ["footrule", "--pred", "pred.csv", "--truth", "truth.csv"]),
+    ("footrule-top2-json",
+     ["--format", "json", "footrule", "--pred", "pred.csv", "--truth",
+      "truth.csv", "--top-k", "2"]),
+], ids=list(GOLDEN_MATRIX))
+def test_matrix_golden_output(tmp_path, capsys, monkeypatch, name, argv):
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    _write_default_synth_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    # the fixture rankings: FeTS ET-22-T2's H-score against transfer Dice
+    for path, column in (("pred.csv", "hscore"), ("truth.csv", "dice")):
+        write_ranking_csv(build_ranking(
+            fixtures.reference_scores("ET-22-T2", column)), path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_MATRIX[name]
+
+
+GOLDEN_SELECT_REPORT = """\
+{
+  "config": {
+    "hscore_features": "target",
+    "hscore_params": {
+      "ridge": 1e-08
+    },
+    "metric": "otce",
+    "no_modality_match_policy": "error",
+    "path": "baseline",
+    "roi_keep_classes": 1,
+    "sampler": {
+      "max_pixels": 256,
+      "seed": 42
+    },
+    "sinkhorn_params": {
+      "epsilon": 0.1,
+      "marginal_tol": 1e-09,
+      "max_iters": 1000
+    },
+    "top_k": 5
+  },
+  "modality_fallback": false,
+  "per_source_scores": [
+    {
+      "metric": "otce",
+      "score": -0.5977489493821856,
+      "task_id": "synth-00-s0.00"
+    },
+    {
+      "metric": "otce",
+      "score": -0.5942475892683453,
+      "task_id": "synth-01-s0.20"
+    },
+    {
+      "metric": "otce",
+      "score": -0.5788670649964567,
+      "task_id": "synth-02-s0.40"
+    },
+    {
+      "metric": "otce",
+      "score": -0.564942902053507,
+      "task_id": "synth-03-s0.60"
+    },
+    {
+      "metric": "otce",
+      "score": -0.42173170994517534,
+      "task_id": "synth-04-s0.80"
+    }
+  ],
+  "ranking": [
+    {
+      "rank": 1,
+      "score": -0.42173170994517534,
+      "task_id": "synth-04-s0.80"
+    },
+    {
+      "rank": 2,
+      "score": -0.564942902053507,
+      "task_id": "synth-03-s0.60"
+    },
+    {
+      "rank": 3,
+      "score": -0.5788670649964567,
+      "task_id": "synth-02-s0.40"
+    },
+    {
+      "rank": 4,
+      "score": -0.5942475892683453,
+      "task_id": "synth-01-s0.20"
+    },
+    {
+      "rank": 5,
+      "score": -0.5977489493821856,
+      "task_id": "synth-00-s0.00"
+    }
+  ],
+  "roi_sim_by_class": {},
+  "subset1": [
+    "synth-00-s0.00",
+    "synth-01-s0.20",
+    "synth-02-s0.40",
+    "synth-03-s0.60",
+    "synth-04-s0.80"
+  ],
+  "subset2": [
+    "synth-00-s0.00",
+    "synth-01-s0.20",
+    "synth-02-s0.40",
+    "synth-03-s0.60",
+    "synth-04-s0.80"
+  ],
+  "target_id": "synth-05-s1.00"
+}
+"""
+
+GOLDEN_SELECT_RANKING = """\
+task_id,score,rank
+synth-04-s0.80,-0.421732,1
+synth-03-s0.60,-0.564943,2
+synth-02-s0.40,-0.578867,3
+synth-01-s0.20,-0.594248,4
+synth-00-s0.00,-0.597749,5
+"""
+
+
+def _to_9dp(obj):
+    if isinstance(obj, float):
+        return round(obj, 9)
+    if isinstance(obj, dict):
+        return {k: _to_9dp(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_to_9dp(v) for v in obj]
+    return obj
+
+
+def test_select_output_files_golden(tmp_path, capsys, monkeypatch):
+    # report.json carries full-precision scores, compared at 9 dp so that
+    # another BLAS build's last bits do not fail it; its layout is pinned
+    # by re-dumping it
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    _write_default_synth_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--threads", "2", "--output", "sel",
+                         "select", "--path", "baseline", "--metric", "otce",
+                         "--max-pixels", "256", "--top-k", "5", *_SELECT_ARGS)
+    assert (code, err) == (0, "")
+    report = (tmp_path / "sel" / "report.json").read_text()
+    loaded = json.loads(report)
+    assert report == json.dumps(loaded, indent=2, sort_keys=True) + "\n"
+    assert _to_9dp(loaded) == _to_9dp(json.loads(GOLDEN_SELECT_REPORT))
+    assert (tmp_path / "sel" / "ranking.csv").read_text() \
+        == GOLDEN_SELECT_RANKING
+
+
 class TestGlobalFlags:
     def test_env_seed_respected(self, tmp_path, capsys, monkeypatch, bundle):
         write_bundle(bundle, tmp_path / "b")
