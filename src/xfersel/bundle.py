@@ -43,10 +43,12 @@ import numpy as np
 
 from .errors import (
     CorruptBinaryError,
+    DimensionMismatchError,
     EmptyFeatureSetError,
     EmptyLabelSetError,
     InvalidSpecError,
     IoFailureError,
+    MissingFeaturesError,
     MissingManifestError,
     NonFiniteFeatureError,
     ShapeMismatchError,
@@ -117,6 +119,9 @@ class LabelMaskSet:
     positive_class: int = 1
 
     def __post_init__(self):
+        if not 0 <= self.positive_class <= 255:
+            raise InvalidSpecError(f"positive_class must be a uint8 label "
+                                   f"in 0..255, got {self.positive_class}")
         masks = np.asarray(self.masks, dtype=np.uint8)
         if masks.ndim != 3:
             raise ShapeMismatchError(
@@ -234,6 +239,19 @@ class TaskBundle:
     @property
     def task_id(self) -> str:
         return self.descriptor.task_id
+
+    def require_features(self, what: str) -> PixelFeatureSet:
+        """The feature export, which ``what`` (a metric or a command) needs."""
+        if self.features is None:
+            raise MissingFeaturesError(
+                f"{what} needs features on {self.task_id}")
+        return self.features
+
+
+def same_channels(a: int, b: int) -> None:
+    """Check that two feature exports carry ``a`` and ``b`` equal channels."""
+    if a != b:
+        raise DimensionMismatchError(f"channel counts differ: {a} vs {b}")
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,9 @@ from .bundle import (
 from .errors import (
     InvalidSpecError,
     IoFailureError,
-    MissingFeaturesError,
     UnknownTaskError,
     XferselError,
 )
-from .fixtures import read_scores_csv
 # unused here, but bench/layers.py traces xfersel.cli.hscore_segmentation
 from .hscore import HScoreParams, hscore_segmentation
 from .otce import SinkhornParams
@@ -52,6 +50,7 @@ from .ranking import (
     footrule_topk,
     ranking_to_csv,
     read_ranking_csv,
+    read_scores_csv,
 )
 from .roisim import DEFAULT_MAX_PAIRS, PairingMode, roi_sim
 from .synth import SynthSpec, generate_tasks, probe_target, probe_transfer
@@ -262,9 +261,7 @@ def cmd_synth_eval(args) -> int:
     if args.target not in by_id:
         raise UnknownTaskError(f"{args.target} not found under {args.dir}")
     target = by_id[args.target]
-    if target.features is None:
-        raise MissingFeaturesError(
-            f"synth-eval needs features on {target.task_id}")
+    target.require_features("synth-eval")
     # shared-extractor mode: each source's own export carries its signal
     cfg = SelectionConfig(
         path=SelectionPath.BASELINE, metric=Metric(args.metric),

@@ -16,13 +16,13 @@ these tables break ties by row order.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 
 import numpy as np
 
-from .bundle import LabelMaskSet, TaskBundle, TaskDescriptor, read_text
+from .bundle import LabelMaskSet, TaskBundle, TaskDescriptor
 from .errors import InvalidSpecError, UnknownTaskError
+from .ranking import read_scores_csv
 
 TARGETS = ("ET-22-T2", "ET-20-T1")
 
@@ -94,27 +94,3 @@ def benchmark_pool(target_id: str, height: int = 32,
         descriptor=desc,
         labels=LabelMaskSet(task_id=target_id, masks=masks_for("ET")))
     return sources, target
-
-
-def read_scores_csv(path) -> dict[str, dict[str, float]]:
-    """Parse an external scores file: task_id plus one or more metric columns."""
-    reader = csv.DictReader(read_text(path).splitlines())
-    try:
-        header, records = reader.fieldnames, list(reader)
-    except csv.Error as exc:
-        raise InvalidSpecError(f"{path}: {exc}") from exc
-    if header is None or "task_id" not in header:
-        raise InvalidSpecError(f"{path}: scores file needs a task_id column")
-    out: dict[str, dict[str, float]] = {}
-    for rec in records:
-        task_id = rec["task_id"]
-        if None in rec:
-            raise InvalidSpecError(f"{path}: row {task_id!r} has extra cells")
-        if task_id in out:
-            raise InvalidSpecError(f"{path}: duplicate task_id {task_id!r}")
-        try:
-            out[task_id] = {k: float(v) for k, v in rec.items()
-                            if k != "task_id" and v not in (None, "")}
-        except ValueError as exc:
-            raise InvalidSpecError(f"{path}: row {task_id!r}: {exc}") from exc
-    return out

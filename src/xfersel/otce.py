@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import PixelFeatureSet, SubsampleSpec, flatten_pixels
+from .bundle import (PixelFeatureSet, SubsampleSpec, flatten_pixels,
+                     same_channels)
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -82,9 +83,7 @@ def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     b = np.asarray(tgt, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionMismatchError("feature lists must be 2-D [N, C]")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(
-            f"channel counts differ: {a.shape[1]} vs {b.shape[1]}")
+    same_channels(a.shape[1], b.shape[1])
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise DimensionMismatchError("feature lists must be non-empty")
     sq_a = (a * a).sum(axis=1)

@@ -17,15 +17,13 @@ import numpy as np
 
 from .bundle import (
     LabelMaskSet,
-    PixelFeatureSet,
     SubsampleSpec,
     TaskBundle,
     TaskDescriptor,
+    same_channels,
 )
 from .errors import (
-    DimensionMismatchError,
     InvalidSpecError,
-    MissingFeaturesError,
     MissingLabelsError,
     NoCompatibleSourceError,
     UnknownTaskError,
@@ -190,13 +188,6 @@ def roi_filter(subset1: list[TaskBundle], target: TaskBundle,
     return subset2, scores
 
 
-def _features(metric: Metric, bundle: TaskBundle) -> PixelFeatureSet:
-    if bundle.features is None:
-        raise MissingFeaturesError(
-            f"{metric.value} needs features on {bundle.task_id}")
-    return bundle.features
-
-
 def score_pair(source: TaskBundle, target: TaskBundle, cfg: SelectionConfig,
                target_pixels: tuple[np.ndarray, np.ndarray] | None = None,
                ) -> OtceReport | HScoreReport:
@@ -207,15 +198,13 @@ def score_pair(source: TaskBundle, target: TaskBundle, cfg: SelectionConfig,
     export should come from the source's model, so the channels must agree.
     """
     if cfg.metric is Metric.OTCE:
-        return otce(_features(cfg.metric, source),
-                    _features(cfg.metric, target), cfg.sampler,
+        return otce(source.require_features("otce"),
+                    target.require_features("otce"), cfg.sampler,
                     cfg.sinkhorn_params, target_pixels)
     own = cfg.hscore_features is HScoreFeatures.SOURCE
-    fs = _features(cfg.metric, source if own else target)
-    if source.features is not None and source.features.channels != fs.channels:
-        raise DimensionMismatchError(
-            f"channel counts differ: {source.features.channels} vs "
-            f"{fs.channels}")
+    fs = (source if own else target).require_features("hscore")
+    if source.features is not None:
+        same_channels(source.features.channels, fs.channels)
     return hscore_segmentation(fs, cfg.hscore_params)
 
 
@@ -225,8 +214,8 @@ def _metric_scores(sources: list[TaskBundle], target: TaskBundle,
     pixels = None
     if cfg.metric is Metric.OTCE:
         # the memory estimate and the one target flattening precede the pairs
-        pixels = otce_target(_features(cfg.metric, target),
-                             [_features(cfg.metric, b) for b in sources],
+        pixels = otce_target(target.require_features("otce"),
+                             [b.require_features("otce") for b in sources],
                              cfg.sampler, cfg.threads)
     return map_sources(lambda b: score_pair(b, target, cfg, pixels).score,
                        sources, cfg.threads)

@@ -121,27 +121,44 @@ def write_ranking_csv(ranking: Ranking, path: str | Path) -> None:
         raise IoFailureError(str(exc)) from exc
 
 
-def read_ranking_csv(path: str | Path) -> Ranking:
-    """Rebuild a ranking from CSV; the rank column is authoritative."""
+def _table(path: str | Path) -> tuple[tuple[str, ...],
+                                     dict[str, dict[str, float]]]:
+    """The header of a CSV table with a ``task_id`` column, and its rows by
+    task id in file order: each row's non-blank cells as numbers."""
+    reader = csv.DictReader(io.StringIO(read_text(path)))
     try:
-        rows = list(csv.reader(io.StringIO(read_text(path))))
+        header, records = reader.fieldnames, list(reader)
     except csv.Error as exc:
         raise InvalidSpecError(f"{path}: {exc}") from exc
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise InvalidSpecError(
-            f"{path}: expected header {','.join(CSV_HEADER)}")
-    parsed = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise InvalidSpecError(f"{path}: malformed row {row!r}")
+    if not header or "task_id" not in header:
+        raise InvalidSpecError(f"{path}: the header needs a task_id column")
+    rows: dict[str, dict[str, float]] = {}
+    for rec in records:
+        task_id = rec.pop("task_id")
+        if None in rec:
+            raise InvalidSpecError(f"{path}: row {task_id!r} has extra cells")
+        if task_id in rows:
+            raise DuplicateTaskIdError(f"{path}: {task_id}")
         try:
-            parsed.append((int(row[2]), row[0], float(row[1])))
+            rows[task_id] = {k: float(v) for k, v in rec.items()
+                             if v not in (None, "")}
         except ValueError as exc:
-            raise InvalidSpecError(f"{path}: row {row!r}: {exc}") from exc
-    parsed.sort(key=lambda r: r[0])
-    if [r[0] for r in parsed] != list(range(1, len(parsed) + 1)):
-        raise InvalidSpecError(f"{path}: ranks are not 1..{len(parsed)}")
-    return _ranking(tuple((task_id, score) for _, task_id, score in parsed),
-                    f"{path}: ")
+            raise InvalidSpecError(f"{path}: row {task_id!r}: {exc}") from exc
+    return tuple(header), rows
+
+
+def read_scores_csv(path: str | Path) -> dict[str, dict[str, float]]:
+    """An external scores file: task_id plus one or more metric columns."""
+    return _table(path)[1]
+
+
+def read_ranking_csv(path: str | Path) -> Ranking:
+    """Rebuild a ranking from CSV; the rank column is authoritative."""
+    header, rows = _table(path)
+    if header != CSV_HEADER or any(len(c) != 2 for c in rows.values()):
+        raise InvalidSpecError(
+            f"{path}: expected {','.join(CSV_HEADER)} in every row")
+    by_rank = sorted(rows.items(), key=lambda row: row[1]["rank"])
+    if [c["rank"] for _, c in by_rank] != list(range(1, len(rows) + 1)):
+        raise InvalidSpecError(f"{path}: ranks are not 1..{len(rows)}")
+    return _ranking(tuple((t, c["score"]) for t, c in by_rank), f"{path}: ")

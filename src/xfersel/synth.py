@@ -31,12 +31,9 @@ from .bundle import (
     TaskDescriptor,
     flatten_pixels,
     json_is,
+    same_channels,
 )
-from .errors import (
-    DimensionMismatchError,
-    InvalidSpecError,
-    MissingFeaturesError,
-)
+from .errors import InvalidSpecError
 from .otce import available_memory_bytes
 from .rng import word
 
@@ -179,9 +176,9 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray,
 
 def probe_target(target: TaskBundle) -> tuple[np.ndarray, np.ndarray]:
     """Every pixel of a target with features, as the probe evaluates it:
-    float64 features [N, C] and foreground flags [N]."""
+    float64 features [N, C] and flags [N] of its positive class."""
     return (target.features.features.reshape(-1, target.features.channels)
-            .astype(np.float64), target.labels.masks.reshape(-1) > 0)
+            .astype(np.float64), target.labels.binarized().reshape(-1) > 0)
 
 
 def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
@@ -190,20 +187,16 @@ def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
     """Pixel accuracy on the target of a probe fit on the source's pixels.
 
     The training set is a seeded subsample of at most ``PROBE_TRAIN_PIXELS``
-    source pixels; evaluation uses every target pixel.  Deterministic per seed.
+    source pixels; evaluation uses every target pixel.  Each bundle's
+    foreground is its own positive class.  Deterministic per seed.
     ``target_pixels`` is the target as :func:`probe_target` casts it, which
     a caller probing one target from many sources passes to cast it once.
     """
-    for b in (source, target):
-        if b.features is None:
-            raise MissingFeaturesError(f"probe needs features on {b.task_id}")
-    if source.features.channels != target.features.channels:
-        raise DimensionMismatchError(
-            f"channel counts differ: {source.features.channels} vs "
-            f"{target.features.channels}")
+    same_channels(source.require_features("probe").channels,
+                  target.require_features("probe").channels)
     train_x, train_y = flatten_pixels(
         source.features, SubsampleSpec(max_pixels=PROBE_TRAIN_PIXELS, seed=seed))
-    w = _fit_logistic(train_x, (train_y > 0).astype(np.float64))
+    w = _fit_logistic(train_x, train_y == source.labels.positive_class)
 
     if target_pixels is None:
         target_pixels = probe_target(target)

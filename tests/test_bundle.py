@@ -11,7 +11,10 @@ import pytest
 
 from xfersel import bundle as bundle_module
 from xfersel.bundle import (
+    LabelMaskSet,
+    PixelFeatureSet,
     SubsampleSpec,
+    TaskBundle,
     TaskDescriptor,
     flatten_pixels,
     load_bundle,
@@ -51,14 +54,38 @@ class TestDescriptor:
             TaskDescriptor(task_id="", roi_class="ED", modality="T1")
 
 
-@pytest.mark.parametrize("call, detail", [
-    (lambda: TaskDescriptor.from_name("ET"), "cannot parse task name 'ET'"),
-    (lambda: SubsampleSpec(seed=2**64), "seed must fit in 64 unsigned bits"),
-], ids=["one-part-name", "seed-over-64-bits"])
-def test_spec_guards(call, detail):
+def _masks(*shape):
+    return LabelMaskSet(task_id="x", masks=np.zeros(shape, np.uint8))
+
+
+@pytest.mark.parametrize("call, code, detail", [
+    (lambda: TaskDescriptor.from_name("ET"), "InvalidSpec",
+     "cannot parse task name 'ET'"),
+    (lambda: SubsampleSpec(seed=2**64), "InvalidSpec",
+     "seed must fit in 64 unsigned bits"),
+    (lambda: _masks(8, 8), "ShapeMismatch",
+     "label masks must be [n_samples, H, W], got ndim=2"),
+    (lambda: _masks(3, 0, 8), "EmptyLabelSet", "task 'x' has empty masks"),
+    (lambda: LabelMaskSet(task_id="x", masks=np.zeros((1, 2, 2), np.uint8),
+                          positive_class=256),
+     "InvalidSpec", "positive_class must be a uint8 label in 0..255, got 256"),
+    (lambda: LabelMaskSet(task_id="x", masks=np.zeros((1, 2, 2), np.uint8),
+                          positive_class=-1),
+     "InvalidSpec", "positive_class must be a uint8 label in 0..255, got -1"),
+    (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8)), _masks(3, 8, 8)),
+     "ShapeMismatch", "features must be [n_samples, H, W, C], got ndim=3"),
+    (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8, 0)), _masks(3, 8, 8)),
+     "EmptyFeatureSet", "feature sets need at least one channel"),
+    (lambda: TaskBundle(TaskDescriptor.from_name("ED-1-T2"), _masks(3, 8, 8),
+                        make_bundle(n=2).features),
+     "ShapeMismatch", "bundle features are not aligned with bundle labels"),
+], ids=["one-part-name", "seed-over-64-bits", "masks-2d", "masks-empty-axis",
+        "positive-class-256", "positive-class-negative", "features-3d",
+        "features-no-channel", "features-misaligned"])
+def test_spec_guards(call, code, detail):
     with pytest.raises(XferselError) as info:
         call()
-    assert (info.value.code, info.value.detail) == ("InvalidSpec", detail)
+    assert (info.value.code, info.value.detail) == (code, detail)
 
 
 class TestBundleIo:

@@ -420,6 +420,20 @@ def _manifest_key(key, value):
     return _manifest(edit)
 
 
+def _select_sources(kind):
+    # select --sources naming a file, or a directory holding no bundle
+    def argv(tmp_path, monkeypatch):
+        write_bundle(make_bundle("ET-9-T2"), tmp_path / "t")
+        sources = tmp_path / "sources"
+        if kind == "file":
+            sources.write_text("")
+        else:
+            sources.mkdir()
+        return ["select", "--metric", "otce", "--target", str(tmp_path / "t"),
+                "--sources", str(sources)]
+    return argv
+
+
 def _roi_sim_zero_pairs(tmp_path, monkeypatch):
     write_bundle(make_bundle(), tmp_path / "b")
     return ["roi-sim", "--source", str(tmp_path / "b"),
@@ -548,6 +562,8 @@ def _usage(*argv):
     (_scores_row(lambda row: b"\xff" + row), "InvalidSpec", "scores.csv"),
     (_scores_row(lambda row: b"x" * 2**18 + row), "InvalidSpec",
      "field larger than field limit"),
+    (_scores_row(lambda row: row + b"\n" + row), "DuplicateTaskId",
+     "scores.csv: ED-14-T1\n"),
     (_bad_ranking_row(b"b,0.5,two"), "InvalidSpec", ""),
     (_bad_ranking_row(b"b,half,2"), "InvalidSpec", ""),
     (_bad_ranking_row(b"b,nan,2"), "NonFiniteScore", "bad.csv"),
@@ -555,6 +571,9 @@ def _usage(*argv):
     (_bad_ranking_row(b"b\xff,0.5,2"), "InvalidSpec", "bad.csv"),
     (_bad_ranking_row(b"b" * 2**18 + b",0.5,2"), "InvalidSpec",
      "field larger than field limit"),
+    (_bad_ranking_row(b"b,0.5"), "InvalidSpec",
+     "bad.csv: expected task_id,score,rank in every row"),
+    (_bad_ranking_row(b"a,0.5,2"), "DuplicateTaskId", "bad.csv: a\n"),
     (_env_seed_not_integer, "InvalidSpec", ""),
     (_roi_sim_zero_pairs, "InvalidSpec", ""),
     (_synth_spec(b"[1, 2]"), "InvalidSpec", ""),
@@ -566,6 +585,8 @@ def _usage(*argv):
                  b'"width": 100000000, "channels": 1, '
                  b'"signal_strengths": [0.5]}'),
      "InvalidSpec", "of available memory"),
+    (_synth_spec(b'{"n_tasks": 0, "signal_strengths": []}'), "InvalidSpec",
+     "n_tasks and n_samples must be >= 1"),
     (_manifest_key("modality", 5), "MissingManifest", "modality"),
     (_manifest_key("modality", None), "MissingManifest", "modality"),
     (_manifest_key("files", "x"), "MissingManifest", "files"),
@@ -579,6 +600,16 @@ def _usage(*argv):
      "positive_class"),
     (_manifest_key("positive_class", 1.5), "MissingManifest",
      "positive_class"),
+    (_manifest_key("positive_class", 300), "InvalidSpec",
+     "positive_class must be a uint8 label in 0..255, got 300"),
+    (_manifest_key("positive_class", -1), "InvalidSpec",
+     "positive_class must be a uint8 label in 0..255, got -1"),
+    (_manifest_key("files.labels", "missing.bin"), "MissingManifest",
+     "referenced labels file missing: "),
+    (_manifest_key("n_samples", lambda m: m["n_samples"] + 1),
+     "ShapeMismatch", "labels (3, 8, 8) disagree with manifest (4, 8, 8)"),
+    (_manifest_key("channels", lambda m: m["channels"] + 1), "ShapeMismatch",
+     "features carry 4 channels, manifest says 5"),
     (_manifest_key("task_id", ["a"]), "MissingManifest", "task_id"),
     (_manifest_key("task_id", "a\nb"), "InvalidSpec", "printable"),
     (_manifest_key("roi_class", {"a": 1}), "MissingManifest", "roi_class"),
@@ -597,6 +628,8 @@ def _usage(*argv):
      "--metric"),
     (_usage("frobnicate"), "InvalidSpec", "frobnicate"),
     (_scores_file_missing, "IoFailure", "none.csv"),
+    (_select_sources("file"), "IoFailure", "not a directory: "),
+    (_select_sources("empty"), "IoFailure", "no bundles under "),
     (_mixed_channel_pool, "DimensionMismatch", "channel counts differ"),
     (_score_featureless_source, "MissingFeatures",
      "otce needs features on ED-1-T2"),
@@ -610,23 +643,27 @@ def _usage(*argv):
     (_threads("0"), "InvalidSpec", "--threads"),
     (_threads("-3"), "InvalidSpec", "--threads"),
 ], ids=["scores-cell", "scores-extra-cell", "scores-not-utf8",
-        "scores-field-too-long",
+        "scores-field-too-long", "scores-duplicate-id",
         "ranking-rank", "ranking-score", "ranking-score-nan",
         "ranking-score-inf", "ranking-not-utf8", "ranking-field-too-long",
+        "ranking-missing-cell", "ranking-duplicate-id",
         "env-seed", "roi-sim-pairs-0", "synth-spec-not-object",
         "synth-spec-strengths-not-list", "synth-spec-field-type",
-        "synth-spec-not-utf8", "synth-spec-huge-dims",
+        "synth-spec-not-utf8", "synth-spec-huge-dims", "synth-spec-no-tasks",
         "manifest-modality-int",
         "manifest-modality-null", "manifest-files-str",
         "manifest-files-null", "manifest-files-labels-int",
         "manifest-files-features-list", "manifest-positive-class-str",
         "manifest-positive-class-null", "manifest-positive-class-float",
-        "manifest-task-id-list", "manifest-task-id-newline",
+        "manifest-positive-class-300", "manifest-positive-class-negative",
+        "manifest-labels-file-missing", "manifest-n-samples-disagree",
+        "manifest-channels-disagree", "manifest-task-id-list", "manifest-task-id-newline",
         "manifest-roi-class-object", "manifest-height-float",
         "manifest-channels-str", "manifest-null", "manifest-not-utf8",
         "score-hscore-ridge-0", "select-hscore-ridge-0",
         "usage-max-pixels-not-int", "usage-metric-missing",
         "usage-unknown-command", "scores-file-missing",
+        "select-sources-file", "select-sources-empty",
         "select-hscore-mixed-channels", "score-otce-featureless-source",
         "score-hscore-epsilon-0", "score-otce-epsilon-1e-300",
         "score-otce-epsilon-5e-324", "roi-sim-output-missing-dir",

@@ -5,7 +5,11 @@ import pytest
 
 from xfersel import hscore
 from xfersel.bundle import LabelMaskSet, PixelFeatureSet
-from xfersel.errors import DegenerateInputError, NonFiniteFeatureError
+from xfersel.errors import (
+    DegenerateInputError,
+    NonFiniteFeatureError,
+    XferselError,
+)
 from xfersel.hscore import HScoreParams, hscore_classification, hscore_segmentation
 from xfersel.synth import SynthSpec, generate_tasks
 
@@ -90,6 +94,16 @@ class TestClassification:
         with pytest.raises(DegenerateInputError, match="ridge 0"):
             hscore_classification(feats, np.array([0, 1, 0, 1]),
                                   HScoreParams(ridge=0.0))
+
+
+@pytest.mark.parametrize("features, labels, detail", [
+    (np.ones(4), [0, 1, 0, 1], "features must be [n_samples, C]"),
+    (np.ones((3, 2)), [0, 1], "3 feature rows vs 2 labels"),
+], ids=["features-1d", "rows-vs-labels"])
+def test_classification_input_guards(features, labels, detail):
+    with pytest.raises(XferselError) as info:
+        hscore_classification(features, labels)
+    assert (info.value.code, info.value.detail) == ("ShapeMismatch", detail)
 
 
 class TestSegmentation:

@@ -15,6 +15,7 @@ from xfersel.errors import (
     MissingFeaturesError,
     NoCompatibleSourceError,
     UnknownTaskError,
+    XferselError,
 )
 from xfersel.hscore import HScoreParams, hscore_segmentation
 from xfersel.otce import SinkhornParams, otce
@@ -39,6 +40,27 @@ def descriptors(names):
 
 
 POOL_16 = [r["task_id"] for r in fixtures.reference_table("ET-22-T2")]
+
+
+@pytest.mark.parametrize("call, code, detail", [
+    (lambda: SelectionConfig(roi_keep_classes=0), "InvalidSpec",
+     "roi_keep_classes must be >= 1"),
+    (lambda: roi_filter([], make_bundle("ET-9-T2"), SelectionConfig()),
+     "NoCompatibleSource", "subset 1 is empty"),
+    (lambda: roi_filter([TaskBundle(TaskDescriptor.from_name("ED-1-T2"),
+                                    labels=None)],
+                        make_bundle("ET-9-T2"), SelectionConfig()),
+     "MissingLabels", "ED-1-T2"),
+    (lambda: fixtures.reference_table("ET-1-T1"), "UnknownTask",
+     "no reference table for 'ET-1-T1'; have ('ET-22-T2', 'ET-20-T1')"),
+    (lambda: fixtures.reference_scores("ET-22-T2", "ssim"), "InvalidSpec",
+     "unknown column 'ssim'; have ('dice', 'hscore', 'otce')"),
+], ids=["roi-keep-0", "roi-filter-empty", "roi-filter-no-labels",
+        "reference-unknown-target", "reference-unknown-column"])
+def test_input_guards(call, code, detail):
+    with pytest.raises(XferselError) as info:
+        call()
+    assert (info.value.code, info.value.detail) == (code, detail)
 
 
 class TestModalityFilter:

@@ -167,9 +167,29 @@ class TestCsvRoundTrip:
         with pytest.raises(InvalidSpecError):
             read_ranking_csv(path)
 
+    def test_rank_written_as_float(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("task_id,score,rank\na,0.9,1.0\nb,0.1,2\n")
+        assert read_ranking_csv(path).task_ids == ("a", "b")
+
+    @pytest.mark.parametrize("text, read, expected", [
+        ('task_id,score,rank\n"a\nb",0.5,1\n',
+         lambda path: read_ranking_csv(path).task_ids, ("a\nb",)),
+        ('task_id,dice\n"a\nb",0.5\n', fixtures.read_scores_csv,
+         {"a\nb": {"dice": 0.5}}),
+    ], ids=["ranking", "scores"])
+    def test_quoted_newline_in_task_id(self, tmp_path, text, read, expected):
+        # both readers parse the whole text, so a quoted field keeps its
+        # newline
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        assert read(path) == expected
+
     @pytest.mark.parametrize("rows, error, task", [
         ("dup-id,0.5,1\ndup-id,0.4,2\n", DuplicateTaskIdError, "dup-id"),
         ("ok-id,0.5,1\nnan-id,nan,2\n", NonFiniteScoreError, "nan-id"),
+        # a repeated id is named before the gap in the ranks it leaves
+        ("dup-id,0.5,1\ndup-id,0.4,3\n", DuplicateTaskIdError, "dup-id"),
     ])
     def test_bad_entry_names_file_and_task(self, tmp_path, rows, error, task):
         path = tmp_path / "r.csv"
