@@ -178,7 +178,8 @@ def probe_target(target: TaskBundle) -> tuple[np.ndarray, np.ndarray]:
     """Every pixel of a target with features, as the probe evaluates it:
     float64 features [N, C] and flags [N] of its positive class."""
     return (target.features.features.reshape(-1, target.features.channels)
-            .astype(np.float64), target.labels.binarized().reshape(-1) > 0)
+            .astype(np.float64),
+            target.labels.masks.reshape(-1) == target.labels.positive_class)
 
 
 def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
