@@ -657,7 +657,8 @@ def _usage(*argv):
         "manifest-positive-class-null", "manifest-positive-class-float",
         "manifest-positive-class-300", "manifest-positive-class-negative",
         "manifest-labels-file-missing", "manifest-n-samples-disagree",
-        "manifest-channels-disagree", "manifest-task-id-list", "manifest-task-id-newline",
+        "manifest-channels-disagree", "manifest-task-id-list",
+        "manifest-task-id-newline",
         "manifest-roi-class-object", "manifest-height-float",
         "manifest-channels-str", "manifest-null", "manifest-not-utf8",
         "score-hscore-ridge-0", "select-hscore-ridge-0",

@@ -69,6 +69,22 @@ class TestGeneration:
                                       b.features.features)
 
 
+def _three_class_bundle(task_id, seed, binary):
+    # labels {0, 1, 2} with positive class 2, or their 0/1 binarized copy;
+    # the features mark class 2 alone, so class 1 belongs to the background
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 3, size=(4, 8, 8)).astype(np.uint8)
+    features = np.where((masks == 2)[..., None], 1.0, -1.0) \
+        + 0.1 * rng.standard_normal((4, 8, 8, 2))
+    if binary:
+        masks = (masks == 2).astype(np.uint8)
+    labels = LabelMaskSet(task_id=task_id, masks=masks,
+                          positive_class=1 if binary else 2)
+    return TaskBundle(
+        descriptor=TaskDescriptor.from_name(task_id), labels=labels,
+        features=PixelFeatureSet(task_id, features, labels))
+
+
 class TestProbe:
     def test_self_transfer_noiseless_is_perfect(self):
         for seed in (1, 2, 3):
@@ -112,30 +128,13 @@ class TestProbe:
             probe_transfer(*pair)
         assert info.value.detail == f"probe needs features on {other.task_id}"
 
-
-def _three_class_bundle(task_id, seed, binary):
-    # labels {0, 1, 2} with positive class 2, or their 0/1 binarized copy;
-    # the features mark class 2 alone, so class 1 belongs to the background
-    rng = np.random.default_rng(seed)
-    masks = rng.integers(0, 3, size=(4, 8, 8)).astype(np.uint8)
-    features = np.where((masks == 2)[..., None], 1.0, -1.0) \
-        + 0.1 * rng.standard_normal((4, 8, 8, 2))
-    if binary:
-        masks = (masks == 2).astype(np.uint8)
-    labels = LabelMaskSet(task_id=task_id, masks=masks,
-                          positive_class=1 if binary else 2)
-    return TaskBundle(
-        descriptor=TaskDescriptor.from_name(task_id), labels=labels,
-        features=PixelFeatureSet(task_id, features, labels))
-
-
-def test_probe_foreground_is_the_positive_class():
-    # the probe once took every nonzero label as foreground, unlike RoI-Sim
-    pairs = [(_three_class_bundle("ED-1-T2", 1, binary),
-              _three_class_bundle("ET-2-T2", 2, binary))
-             for binary in (False, True)]
-    accuracies = [probe_transfer(*pair).accuracy for pair in pairs]
-    assert accuracies == [1.0, 1.0]
+    def test_foreground_is_the_positive_class(self):
+        # the probe once took every nonzero label as foreground, unlike RoI-Sim
+        pairs = [(_three_class_bundle("ED-1-T2", 1, binary),
+                  _three_class_bundle("ET-2-T2", 2, binary))
+                 for binary in (False, True)]
+        accuracies = [probe_transfer(*pair).accuracy for pair in pairs]
+        assert accuracies == [1.0, 1.0]
 
 
 class TestMonotoneSignal:
