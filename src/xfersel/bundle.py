@@ -119,9 +119,11 @@ class LabelMaskSet:
     positive_class: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.positive_class <= 255:
+        label = self.positive_class
+        if (not isinstance(label, (int, np.integer)) or isinstance(label, bool)
+                or not 0 <= label <= 255):
             raise InvalidSpecError(f"positive_class must be a uint8 label "
-                                   f"in 0..255, got {self.positive_class}")
+                                   f"in 0..255, got {label!r}")
         masks = np.asarray(self.masks, dtype=np.uint8)
         if masks.ndim != 3:
             raise ShapeMismatchError(

@@ -41,7 +41,7 @@ from .pipeline import (
     SelectionConfig,
     SelectionPath,
     map_sources,
-    score_pair,
+    score_sources,
     select,
 )
 from .ranking import (
@@ -117,10 +117,19 @@ def _echo(args) -> dict:
             if key not in ("threads", "output", "format", "func")}
 
 
-def _sampler(args) -> SubsampleSpec:
-    """The pixel sampler of --max-pixels and --seed, the seed taken mod 2**64
-    as every seeded command takes it; the echo keeps the seed as given."""
-    return SubsampleSpec(max_pixels=args.max_pixels, seed=args.seed % 2**64)
+def _config(args, **fields) -> SelectionConfig:
+    """The config of a scoring command: ``fields``, --metric, --threads,
+    --epsilon and --ridge where the command has them, and the sampler of
+    --max-pixels and --seed, the seed taken mod 2**64 as every seeded command
+    takes it (the echo keeps the seed as given)."""
+    if "epsilon" in args:
+        fields["sinkhorn_params"] = SinkhornParams(epsilon=args.epsilon)
+    if "ridge" in args:
+        fields["hscore_params"] = HScoreParams(ridge=args.ridge)
+    return SelectionConfig(
+        metric=Metric(args.metric), threads=args.threads,
+        sampler=SubsampleSpec(max_pixels=args.max_pixels,
+                              seed=args.seed % 2**64), **fields)
 
 
 def _load_source_bundles(sources_dir: str, loaded: dict[Path, TaskBundle]
@@ -159,12 +168,8 @@ def cmd_roi_sim(args) -> int:
 def cmd_score(args) -> int:
     source = load_bundle(args.source)
     target = load_bundle(args.target)
-    cfg = SelectionConfig(
-        metric=Metric(args.metric),
-        sinkhorn_params=SinkhornParams(epsilon=args.epsilon),
-        hscore_params=HScoreParams(ridge=args.ridge),
-        sampler=_sampler(args))
-    rep = score_pair(source, target, cfg)
+    cfg = _config(args)
+    rep, = score_sources([source], target, cfg)
     if cfg.metric is Metric.OTCE:
         result = {"otce": rep.score, "ot_cost": rep.ot_cost,
                   "sinkhorn_iterations": rep.iterations_used,
@@ -181,18 +186,11 @@ def cmd_select(args) -> int:
     # a target under --sources is loaded once; select drops it by task id
     pool = _load_source_bundles(args.sources,
                                 {Path(args.target).resolve(): target})
-    cfg = SelectionConfig(
-        path=SelectionPath(args.path),
-        metric=Metric(args.metric),
-        top_k=args.top_k,
+    cfg = _config(
+        args, path=SelectionPath(args.path), top_k=args.top_k,
         roi_keep_classes=args.roi_keep,
         no_modality_match_policy=(NoMatchPolicy.FALLBACK_ALL if args.fallback_all
-                                  else NoMatchPolicy.ERROR),
-        sinkhorn_params=SinkhornParams(epsilon=args.epsilon),
-        hscore_params=HScoreParams(ridge=args.ridge),
-        sampler=_sampler(args),
-        threads=args.threads,
-    )
+                                  else NoMatchPolicy.ERROR))
     scores = None
     if args.scores_file:
         table = read_scores_csv(args.scores_file)
@@ -263,17 +261,15 @@ def cmd_synth_eval(args) -> int:
     target = by_id[args.target]
     target.require_features("synth-eval")
     # shared-extractor mode: each source's own export carries its signal
-    cfg = SelectionConfig(
-        path=SelectionPath.BASELINE, metric=Metric(args.metric),
-        hscore_features=HScoreFeatures.SOURCE, sampler=_sampler(args),
-        threads=args.threads)
+    cfg = _config(args, path=SelectionPath.BASELINE,
+                  hscore_features=HScoreFeatures.SOURCE)
     report = select(bundles, target, cfg)
     metric_rank = report.final_ranking
     sources = [by_id[t] for t in report.subset2]
     pixels = probe_target(target)
     accuracies = map_sources(
         lambda b: probe_transfer(b, target, cfg.sampler.seed, pixels).accuracy,
-        sources, args.threads)
+        sources, cfg.threads)
     probe_rank = build_ranking([(b.task_id, a)
                                 for b, a in zip(sources, accuracies)])
     probe_acc = dict(probe_rank.entries)

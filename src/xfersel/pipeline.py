@@ -188,43 +188,39 @@ def roi_filter(subset1: list[TaskBundle], target: TaskBundle,
     return subset2, scores
 
 
-def score_pair(source: TaskBundle, target: TaskBundle, cfg: SelectionConfig,
-               target_pixels: tuple[np.ndarray, np.ndarray] | None = None,
-               ) -> OtceReport | HScoreReport:
-    """The ``cfg.metric`` report of one source for the target.
+def score_sources(sources: list[TaskBundle], target: TaskBundle,
+                  cfg: SelectionConfig) -> list[OtceReport | HScoreReport]:
+    """The ``cfg.metric`` report of each source for the target, in pool order.
 
-    ``target_pixels`` is the target as :func:`otce_target` flattened it.
-    The H-score reads the export ``cfg.hscore_features`` names; a target
-    export should come from the source's model, so the channels must agree.
+    OTCE checks the target's export, then each source's, runs the memory
+    estimate and flattens the target once for every pair.  The H-score
+    reads the export ``cfg.hscore_features`` names; a target export should
+    come from the source's model, so the channels must agree.
     """
     if cfg.metric is Metric.OTCE:
-        return otce(source.require_features("otce"),
-                    target.require_features("otce"), cfg.sampler,
-                    cfg.sinkhorn_params, target_pixels)
+        tgt = target.require_features("otce")
+        feats = [b.require_features("otce") for b in sources]
+        pixels = otce_target(tgt, feats, cfg.sampler, cfg.threads)
+        return map_sources(lambda fs: otce(fs, tgt, cfg.sampler,
+                                           cfg.sinkhorn_params, pixels),
+                           feats, cfg.threads)
     own = cfg.hscore_features is HScoreFeatures.SOURCE
-    fs = (source if own else target).require_features("hscore")
-    if source.features is not None:
-        same_channels(source.features.channels, fs.channels)
-    return hscore_segmentation(fs, cfg.hscore_params)
 
+    def hscore(source: TaskBundle) -> HScoreReport:
+        fs = (source if own else target).require_features("hscore")
+        if source.features is not None:
+            same_channels(source.features.channels, fs.channels)
+        return hscore_segmentation(fs, cfg.hscore_params)
 
-def _metric_scores(sources: list[TaskBundle], target: TaskBundle,
-                   cfg: SelectionConfig) -> list[float]:
-    """The metric score of each source against the target, in pool order."""
-    pixels = None
-    if cfg.metric is Metric.OTCE:
-        # the memory estimate and the one target flattening precede the pairs
-        pixels = otce_target(target.require_features("otce"),
-                             [b.require_features("otce") for b in sources],
-                             cfg.sampler, cfg.threads)
-    return map_sources(lambda b: score_pair(b, target, cfg, pixels).score,
-                       sources, cfg.threads)
+    return map_sources(hscore, sources, cfg.threads)
 
 
 def map_sources(fn, items, threads: int = 1) -> list:
-    """``[fn(x) for x in items]`` over ``threads`` threads, in input order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    """``[fn(x) for x in items]`` in input order, over one worker thread per
+    item up to ``threads``; one worker runs inline."""
+    workers = min(threads, len(items))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
 
@@ -262,7 +258,7 @@ def select(pool: list[TaskBundle], target: TaskBundle, cfg: SelectionConfig,
             raise UnknownTaskError(f"no injected score for: {missing}")
         values = [float(scores[b.task_id]) for b in subset2]
     else:
-        values = _metric_scores(subset2, target, cfg)
+        values = [r.score for r in score_sources(subset2, target, cfg)]
     scored = [(b.task_id, v) for b, v in zip(subset2, values)]
 
     ranking = build_ranking(scored)

@@ -72,6 +72,17 @@ def _masks(*shape):
     (lambda: LabelMaskSet(task_id="x", masks=np.zeros((1, 2, 2), np.uint8),
                           positive_class=-1),
      "InvalidSpec", "positive_class must be a uint8 label in 0..255, got -1"),
+    (lambda: LabelMaskSet(task_id="x", masks=np.zeros((1, 2, 2), np.uint8),
+                          positive_class=1.5),
+     "InvalidSpec", "positive_class must be a uint8 label in 0..255, got 1.5"),
+    (lambda: LabelMaskSet(task_id="x", masks=np.zeros((1, 2, 2), np.uint8),
+                          positive_class="1"),
+     "InvalidSpec",
+     "positive_class must be a uint8 label in 0..255, got '1'"),
+    (lambda: LabelMaskSet(task_id="x", masks=np.zeros((1, 2, 2), np.uint8),
+                          positive_class=True),
+     "InvalidSpec",
+     "positive_class must be a uint8 label in 0..255, got True"),
     (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8)), _masks(3, 8, 8)),
      "ShapeMismatch", "features must be [n_samples, H, W, C], got ndim=3"),
     (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8, 0)), _masks(3, 8, 8)),
@@ -80,12 +91,22 @@ def _masks(*shape):
                         make_bundle(n=2).features),
      "ShapeMismatch", "bundle features are not aligned with bundle labels"),
 ], ids=["one-part-name", "seed-over-64-bits", "masks-2d", "masks-empty-axis",
-        "positive-class-256", "positive-class-negative", "features-3d",
+        "positive-class-256", "positive-class-negative",
+        "positive-class-float", "positive-class-str", "positive-class-bool",
+        "features-3d",
         "features-no-channel", "features-misaligned"])
 def test_spec_guards(call, code, detail):
     with pytest.raises(XferselError) as info:
         call()
     assert (info.value.code, info.value.detail) == (code, detail)
+
+
+@pytest.mark.parametrize("label", [0, 2, 255, np.uint8(2), np.int64(255)],
+                         ids=repr)
+def test_integer_positive_class_accepted(label):
+    masks = np.array([[[0, 2], [255, 2]]], np.uint8)
+    labels = LabelMaskSet(task_id="x", masks=masks, positive_class=label)
+    np.testing.assert_array_equal(labels.binarized(), masks == label)
 
 
 class TestBundleIo:

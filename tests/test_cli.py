@@ -494,11 +494,17 @@ def _mixed_channel_pool(tmp_path, monkeypatch):
             "--sources", str(tmp_path / "pool")]
 
 
-def _score_featureless_source(tmp_path, monkeypatch):
-    write_bundle(make_bundle("ED-1-T2", with_features=False), tmp_path / "s")
-    write_bundle(make_bundle("ET-9-T2"), tmp_path / "t")
-    return ["score", "--metric", "otce", "--source", str(tmp_path / "s"),
-            "--target", str(tmp_path / "t")]
+def _score_featureless_source(target_features):
+    # with neither export, OTCE names the target, whose export it checks
+    # before the sources', as select does
+    def argv(tmp_path, monkeypatch):
+        write_bundle(make_bundle("ED-1-T2", with_features=False),
+                     tmp_path / "s")
+        write_bundle(make_bundle("ET-9-T2", with_features=target_features),
+                     tmp_path / "t")
+        return ["score", "--metric", "otce", "--source", str(tmp_path / "s"),
+                "--target", str(tmp_path / "t")]
+    return argv
 
 
 def _scores_file_missing(tmp_path, monkeypatch):
@@ -631,8 +637,10 @@ def _usage(*argv):
     (_select_sources("file"), "IoFailure", "not a directory: "),
     (_select_sources("empty"), "IoFailure", "no bundles under "),
     (_mixed_channel_pool, "DimensionMismatch", "channel counts differ"),
-    (_score_featureless_source, "MissingFeatures",
+    (_score_featureless_source(True), "MissingFeatures",
      "otce needs features on ED-1-T2"),
+    (_score_featureless_source(False), "MissingFeatures",
+     "otce needs features on ET-9-T2"),
     (_score_hscore_epsilon_0, "InvalidSpec", "epsilon must be > 0"),
     (_score_otce_tiny_epsilon("1e-300"), "DegenerateInput",
      "plan lost its unit mass at epsilon 1e-300"),
@@ -666,6 +674,7 @@ def _usage(*argv):
         "usage-unknown-command", "scores-file-missing",
         "select-sources-file", "select-sources-empty",
         "select-hscore-mixed-channels", "score-otce-featureless-source",
+        "score-otce-featureless-pair",
         "score-hscore-epsilon-0", "score-otce-epsilon-1e-300",
         "score-otce-epsilon-5e-324", "roi-sim-output-missing-dir",
         "select-output-is-file", "threads-0", "threads-negative"])
@@ -904,6 +913,42 @@ def test_score_json_residual_keeps_its_digits(tmp_path, capsys, monkeypatch):
                          "--target", "pool/synth-05-s1.00")
     assert (code, err) == (0, "")
     assert '"sinkhorn_residual": 9.476e-10,' in out
+
+
+SCORE_ARGV = {"otce": ["--metric", "otce", "--max-pixels", "256"],
+              "hscore": ["--metric", "hscore"]}
+
+
+@pytest.mark.parametrize("metric", list(SCORE_ARGV))
+def test_score_is_a_one_source_select(tmp_path, capsys, monkeypatch, metric):
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    pool = _write_default_synth_pool(tmp_path)
+    (tmp_path / "one").mkdir()
+    (pool / "synth-00-s0.00").rename(tmp_path / "one" / "synth-00-s0.00")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "score", *SCORE_ARGV[metric],
+                         "--source", "one/synth-00-s0.00",
+                         "--target", "pool/synth-05-s1.00")
+    assert (code, err) == (0, "")
+    score = dict(line.split(",") for line in out.splitlines()[1:])[metric]
+    code, out, err = run(capsys, "select", "--path", "baseline",
+                         *SCORE_ARGV[metric], "--target",
+                         "pool/synth-05-s1.00", "--sources", "one")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"1,synth-00-s0.00,{score}"]
+
+
+@pytest.mark.parametrize("metric", list(SCORE_ARGV))
+def test_score_threads_do_not_change_output(tmp_path, capsys, monkeypatch,
+                                            metric):
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    _write_default_synth_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    outs = [run(capsys, "--threads", threads, "score", *SCORE_ARGV[metric],
+                "--source", "pool/synth-00-s0.00",
+                "--target", "pool/synth-05-s1.00")
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_select_seed_wraps_mod_2_64(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private name the package defines is read somewhere in it.
+"""Every name a module of the package imports is used in that module, every
+private name the package defines is read somewhere in it, and so is every
+public function of the modules that hold the package's glue.
 
 A deletion that leaves its import or its private helper behind passes every
 other test, so these guards read the package's source with ``ast``.  They
@@ -7,7 +8,9 @@ fail on an imported name the module never reads (``__init__.py`` files are
 skipped: their imports are the package's re-exports), and on a module-level
 private ``def``, ``class`` or assignment, or a private method, whose name no
 module under ``src/xfersel/`` reads.  Private means a leading ``_`` and not
-a dunder.
+a dunder.  ``pipeline`` and ``cli`` hold the package's glue, which the
+package itself calls, so a public module-level function of theirs that no
+module reads is a helper a merge left behind.
 """
 
 import ast
@@ -16,6 +19,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xfersel"
+
+# modules whose public module-level functions the package itself must read
+GLUE = ("pipeline", "cli")
 
 # (module, name) -> why the import stays although the module never reads it
 KEPT = {
@@ -106,3 +112,34 @@ def test_guard_sees_an_unread_private_name():
               "    def __init__(self): self._stored = 1\n")
     assert _unread_private_names({"m": source, "n": "_Kept()\n"}) == \
         {"m._UNUSED", "m._helper", "m._method"}
+
+
+def _unread_public_functions(sources: dict[str, str],
+                             modules: tuple[str, ...]) -> set[str]:
+    """``module.name`` of every public module-level function of ``modules``
+    that no source reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*map(_reads, trees.values()))
+    return {f"{module}.{node.name}" for module in modules
+            for node in trees[module].body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in read}
+
+
+def test_no_unread_glue_function():
+    unread = _unread_public_functions(
+        {str(p.relative_to(PACKAGE).with_suffix("")): p.read_text()
+         for p in sorted(PACKAGE.rglob("*.py"))}, GLUE)
+    assert not unread, f"public but never read: {sorted(unread)}"
+
+
+def test_guard_sees_an_unread_glue_function():
+    glue = ("def run(): return helper()\n"
+            "def helper(): return 1\n"
+            "def leftover(): return 2\n"
+            "def _private(): return 3\n"
+            "class Kept:\n"
+            "    def method(self): return 4\n")
+    other = "def lib(): return 5\n"
+    assert _unread_public_functions({"m": glue, "n": "m.run()\n",
+                                     "lib": other}, ("m",)) == {"m.leftover"}

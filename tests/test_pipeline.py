@@ -1,9 +1,11 @@
 import importlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from xfersel import fixtures
+from xfersel import fixtures, pipeline
 from xfersel.bundle import (
     LabelMaskSet,
     SubsampleSpec,
@@ -25,9 +27,10 @@ from xfersel.pipeline import (
     NoMatchPolicy,
     SelectionConfig,
     SelectionPath,
+    map_sources,
     modality_filter,
     roi_filter,
-    score_pair,
+    score_sources,
     select,
 )
 from xfersel.roisim import PairingMode, roi_sim
@@ -296,6 +299,9 @@ class TestSelect:
 
 
 class TestScorePair:
+    """A pair is a pool of one: ``score_sources`` returns the metric's own
+    report for it."""
+
     source = make_bundle("ED-1-T2", n=3, h=4, w=4, c=2, seed=90)
     target = make_bundle("ET-9-T2", n=3, h=4, w=4, c=2, seed=91)
 
@@ -304,8 +310,8 @@ class TestScorePair:
         params = SinkhornParams(epsilon=0.5)
         cfg = SelectionConfig(metric=Metric.OTCE, sampler=sampler,
                               sinkhorn_params=params)
-        assert score_pair(self.source, self.target, cfg) == \
-            otce(self.source.features, self.target.features, sampler, params)
+        assert score_sources([self.source], self.target, cfg) == \
+            [otce(self.source.features, self.target.features, sampler, params)]
 
     @pytest.mark.parametrize("side", list(HScoreFeatures))
     def test_hscore_report_is_the_direct_call(self, side):
@@ -313,5 +319,54 @@ class TestScorePair:
         cfg = SelectionConfig(metric=Metric.HSCORE, hscore_params=params,
                               hscore_features=side)
         bundle = self.target if side is HScoreFeatures.TARGET else self.source
-        assert score_pair(self.source, self.target, cfg) == \
-            hscore_segmentation(bundle.features, params)
+        assert score_sources([self.source], self.target, cfg) == \
+            [hscore_segmentation(bundle.features, params)]
+
+
+class TestScoreSources:
+    pool = [make_bundle(f"ED-{i}-T2", n=3, h=4, w=4, c=2, seed=92 + i)
+            for i in range(3)]
+    target = make_bundle("ET-9-T2", n=3, h=4, w=4, c=2, seed=91)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_pool_reports_are_the_pairs_at_any_thread_count(self, metric):
+        def run(pool, threads):
+            return score_sources(pool, self.target, SelectionConfig(
+                metric=metric, sampler=SubsampleSpec(max_pixels=20, seed=5),
+                hscore_features=HScoreFeatures.SOURCE, threads=threads))
+        pairs = [rep for b in self.pool for rep in run([b], 1)]
+        assert run(self.pool, 1) == run(self.pool, 3) == pairs
+
+    def test_otce_checks_the_target_then_the_sources_in_pool_order(self):
+        bare = [TaskBundle(b.descriptor, b.labels, None)
+                for b in (*self.pool, self.target)]
+        cfg = SelectionConfig(metric=Metric.OTCE)
+        for sources, target, named in [(bare[:3], bare[3], "ET-9-T2"),
+                                       (bare[1:3], self.target, "ED-1-T2")]:
+            with pytest.raises(MissingFeaturesError) as info:
+                score_sources(sources, target, cfg)
+            assert info.value.detail == f"otce needs features on {named}"
+
+
+class TestMapSources:
+    def test_one_item_runs_inline(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-item map started a thread pool")
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        assert map_sources(lambda x: (x, threading.get_ident()), [7], 4) == \
+            [(7, threading.get_ident())]
+
+    @pytest.mark.parametrize("threads, items, workers", [
+        (2, 3, 2), (4, 2, 2), (3, 3, 3), (8, 0, None), (1, 3, None)])
+    def test_never_more_workers_than_items(self, monkeypatch, threads, items,
+                                           workers):
+        started = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Recording)
+        assert map_sources(lambda x: x * x, list(range(items)), threads) == \
+            [x * x for x in range(items)]
+        assert started == ([workers] if workers else [])
