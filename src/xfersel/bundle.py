@@ -18,8 +18,8 @@ size, mtime), ``read()`` returns the whole array and ``read(rows)`` the
 sampled feature rows.  :func:`load_bundle` reads the labels whole and
 leaves the features payload on disk, checking its finiteness in one
 streaming pass.  :func:`flatten_pixels` then reads only the rows it
-samples, and ``PixelFeatureSet.features`` reads the whole array on first
-use and keeps it.  Each read checks the identity again, that it did not
+samples; ``PixelFeatureSet.features`` reads the whole array at each use
+and keeps no copy.  Each read checks the identity again, that it did not
 come up short and that the values it read are finite, so a
 ``features.bin`` changed after loading is ``CorruptBinary``
 (``NonFiniteFeature`` for a NaN written without changing its size or mtime,
@@ -35,7 +35,6 @@ import math
 import mmap
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,7 +123,10 @@ class LabelMaskSet:
                 or not 0 <= label <= 255):
             raise InvalidSpecError(f"positive_class must be a uint8 label "
                                    f"in 0..255, got {label!r}")
-        masks = np.asarray(self.masks, dtype=np.uint8)
+        with np.errstate(invalid="ignore"):
+            masks = np.asarray(self.masks).astype(np.uint8, copy=False)
+        if not np.array_equal(masks, self.masks):
+            raise InvalidSpecError(f"task {self.task_id!r} has non-uint8 masks")
         if masks.ndim != 3:
             raise ShapeMismatchError(
                 f"label masks must be [n_samples, H, W], got ndim={masks.ndim}")
@@ -155,9 +157,9 @@ class PixelFeatureSet:
 
     The [n_samples, H, W, C] float32 values come from one of two places: an
     array (synthetic tasks, tests, library callers) or the ``features.bin``
-    payload :func:`load_bundle` checked, which stays on disk.  Either way the
-    set is checked whole at construction, and every read returns the same
-    bits.  A set is immutable and safe to share across threads.
+    payload :func:`load_bundle` checked, read again at every use.  Either
+    way the set is checked whole at construction, and every read returns
+    the same bits.  A set is immutable and safe to share across threads.
     """
 
     def __init__(self, task_id: str, features, aligned_labels: LabelMaskSet):
@@ -180,9 +182,8 @@ class PixelFeatureSet:
         if shape[3] == 0:
             raise EmptyFeatureSetError("feature sets need at least one channel")
         self._shape = shape
-        self._lock = threading.Lock()
-        if self._array is not None:
-            self._array = self._checked(self._array)
+        if self._file is None:
+            self._checked(self._array)
         elif not self._file.all_finite():
             self._non_finite()
 
@@ -199,18 +200,16 @@ class PixelFeatureSet:
 
     @property
     def features(self) -> np.ndarray:
-        """The whole [n_samples, H, W, C] array.  A set on disk reads it on
-        first use, checks it again and keeps it."""
-        with self._lock:
-            if self._array is None:
-                self._array = self._checked(self._file.read())
-        return self._array
+        """The whole [n_samples, H, W, C] array.  A set on disk reads it at
+        each call and checks it again."""
+        if self._file is None:
+            return self._array
+        return self._checked(self._file.read())
 
     def pixel_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Rows of the [n_pixels, C] pixel view: the ascending ``rows``, or
-        all.  A set on disk that does not hold the whole array reads just
-        the given rows and checks them again."""
-        if rows is not None and self._array is None:
+        all; a set on disk reads just those rows and checks them again."""
+        if rows is not None and self._file is not None:
             return self._checked(self._file.read(rows))
         flat = self.features.reshape(self.n_pixels, self.channels)
         return flat if rows is None else flat[rows]

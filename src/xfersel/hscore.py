@@ -135,7 +135,7 @@ def hscore_segmentation(fs: PixelFeatureSet,
     counted in ``skipped_pixels``.  The final score is the mean over all
     H*W positions, summed in a fixed order independent of the chunking.
     """
-    n, h, w, c = fs.features.shape
+    (n, h, w), c = fs.aligned_labels.masks.shape, fs.channels
     if n < 2:
         raise DegenerateInputError(f"need >= 2 samples per pixel, got {n}")
     feats = fs.features.reshape(n, h * w, c)

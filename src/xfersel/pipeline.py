@@ -54,10 +54,10 @@ class HScoreFeatures(str, enum.Enum):
 
     TARGET evaluates the target bundle's feature map (the faithful pairwise
     reading: that map should have been exported by the source's model, as
-    recorded in the manifest's extractor field).  SOURCE evaluates each
-    source's own export instead; with a single shared extractor across the
-    pool this is the only per-source signal and is what the synthetic
-    benchmark uses.
+    recorded in the manifest's extractor field); a bundle holds one map, so
+    it is scored once and every source gets that score.  SOURCE evaluates
+    each source's own export, the only per-source signal when one extractor
+    is shared across the pool, as in the synthetic benchmark.
     """
 
     TARGET = "target"
@@ -194,8 +194,8 @@ def score_sources(sources: list[TaskBundle], target: TaskBundle,
 
     OTCE checks the target's export, then each source's, runs the memory
     estimate and flattens the target once for every pair.  The H-score
-    reads the export ``cfg.hscore_features`` names; a target export should
-    come from the source's model, so the channels must agree.
+    reads the export ``cfg.hscore_features`` names; the target's is checked
+    against each source's channels in pool order, then scored once.
     """
     if cfg.metric is Metric.OTCE:
         tgt = target.require_features("otce")
@@ -204,15 +204,15 @@ def score_sources(sources: list[TaskBundle], target: TaskBundle,
         return map_sources(lambda fs: otce(fs, tgt, cfg.sampler,
                                            cfg.sinkhorn_params, pixels),
                            feats, cfg.threads)
-    own = cfg.hscore_features is HScoreFeatures.SOURCE
-
-    def hscore(source: TaskBundle) -> HScoreReport:
-        fs = (source if own else target).require_features("hscore")
-        if source.features is not None:
-            same_channels(source.features.channels, fs.channels)
-        return hscore_segmentation(fs, cfg.hscore_params)
-
-    return map_sources(hscore, sources, cfg.threads)
+    if cfg.hscore_features is HScoreFeatures.SOURCE or not sources:
+        return map_sources(lambda b: hscore_segmentation(
+            b.require_features("hscore"), cfg.hscore_params),
+            sources, cfg.threads)
+    tgt = target.require_features("hscore")
+    for b in sources:
+        if b.features is not None:
+            same_channels(b.features.channels, tgt.channels)
+    return [hscore_segmentation(tgt, cfg.hscore_params)] * len(sources)
 
 
 def map_sources(fn, items, threads: int = 1) -> list:

@@ -83,6 +83,10 @@ def _masks(*shape):
                           positive_class=True),
      "InvalidSpec",
      "positive_class must be a uint8 label in 0..255, got True"),
+    *[(lambda value=value: LabelMaskSet(task_id="x",
+                                        masks=np.full((1, 2, 2), value)),
+       "InvalidSpec", "task 'x' has non-uint8 masks")
+      for value in (300, -1, 0.7, np.nan)],
     (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8)), _masks(3, 8, 8)),
      "ShapeMismatch", "features must be [n_samples, H, W, C], got ndim=3"),
     (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8, 0)), _masks(3, 8, 8)),
@@ -93,6 +97,7 @@ def _masks(*shape):
 ], ids=["one-part-name", "seed-over-64-bits", "masks-2d", "masks-empty-axis",
         "positive-class-256", "positive-class-negative",
         "positive-class-float", "positive-class-str", "positive-class-bool",
+        "masks-300", "masks-negative", "masks-fraction", "masks-nan",
         "features-3d",
         "features-no-channel", "features-misaligned"])
 def test_spec_guards(call, code, detail):
@@ -107,6 +112,15 @@ def test_integer_positive_class_accepted(label):
     masks = np.array([[[0, 2], [255, 2]]], np.uint8)
     labels = LabelMaskSet(task_id="x", masks=masks, positive_class=label)
     np.testing.assert_array_equal(labels.binarized(), masks == label)
+
+
+@pytest.mark.parametrize("masks", [[[[0, 1], [255, 2]]],
+                                   np.array([[[False, True], [True, False]]])],
+                         ids=["python-int", "bool"])
+def test_masks_that_cast_exactly_load(masks):
+    labels = LabelMaskSet(task_id="x", masks=masks)
+    assert labels.masks.dtype == np.uint8
+    np.testing.assert_array_equal(labels.masks, masks)
 
 
 class TestBundleIo:
@@ -326,10 +340,11 @@ def test_loaded_arrays_are_aligned_read_only_and_exact(tmp_path, bundle):
         assert got.tobytes() == want.tobytes()
 
 
-def test_whole_payload_read_once_across_threads(tmp_path):
+def test_whole_payload_read_by_many_threads(tmp_path):
     # threads scoring against one target ask for its whole array at once;
-    # it must be read once and every thread handed the same array
-    write_bundle(make_bundle(n=3, h=8, w=8, c=64), tmp_path / "b")
+    # each reads it from disk and gets the bytes that were written
+    bundle = make_bundle(n=3, h=8, w=8, c=64)
+    write_bundle(bundle, tmp_path / "b")
     loaded = load_bundle(tmp_path / "b")
     got = []
     interval = sys.getswitchinterval()
@@ -345,7 +360,21 @@ def test_whole_payload_read_once_across_threads(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
-    assert len(got) == 8 and all(a is got[0] for a in got)
+    want = bundle.features.features.tobytes()
+    assert len(got) == 8 and all(a.tobytes() == want for a in got)
+
+
+def test_whole_read_keeps_no_copy(tmp_path, bundle):
+    # rows read after a whole read come from the file, so a change to it
+    # is still caught
+    write_bundle(bundle, tmp_path / "b")
+    loaded = load_bundle(tmp_path / "b")
+    loaded.features.features
+    payload = tmp_path / "b" / "features.bin"
+    os.truncate(payload, payload.stat().st_size - 4)
+    with pytest.raises(CorruptBinaryError) as info:
+        flatten_pixels(loaded.features, SubsampleSpec(max_pixels=5))
+    assert "changed since the bundle was loaded" in info.value.detail
 
 
 class TestFlattenPixels:

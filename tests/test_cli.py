@@ -802,6 +802,53 @@ def test_select_loads_each_bundle_once(tmp_path, capsys, monkeypatch):
     assert len(loads) == len(list(pool.iterdir())) == 6
 
 
+# printed at the parent of the one target H-score per pool
+GOLDEN_SELECT_HSCORE = """\
+# config: {"command": "select", "hscore_features": "target", \
+"hscore_params": {"ridge": 1e-08}, "metric": "hscore", \
+"no_modality_match_policy": "error", "path": "baseline", "roi_keep_classes": 1, \
+"sampler": {"max_pixels": 4096, "seed": 42}, "scores_file": null, \
+"seed": 42, "sinkhorn_params": {"epsilon": 0.1, "marginal_tol": 1e-09, \
+"max_iters": 1000}, "sources": "pool", "target": "pool/synth-05-s1.00", \
+"top_k": 5}
+1,synth-00-s0.00,0.998047
+2,synth-01-s0.20,0.998047
+3,synth-02-s0.40,0.998047
+4,synth-03-s0.60,0.998047
+5,synth-04-s0.80,0.998047
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_select_hscore_scores_the_target_once(tmp_path, capsys, monkeypatch,
+                                              threads):
+    # every source gets the score of the one target export, which is read
+    # whole once
+    monkeypatch.delenv("XFERSEL_SEED", raising=False)
+    _write_default_synth_pool(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    scored, reads = [], []
+    hscore = xfersel.pipeline.hscore_segmentation
+    read = xfersel.bundle._Payload.read
+
+    def counted_read(payload, rows=None):
+        if rows is None and payload.file.name == "features.bin":
+            reads.append(payload.file.parent.name)
+        return read(payload, rows)
+
+    monkeypatch.setattr(xfersel.pipeline, "hscore_segmentation",
+                        lambda fs, *args: scored.append(fs.task_id)
+                        or hscore(fs, *args))
+    monkeypatch.setattr(xfersel.bundle._Payload, "read", counted_read)
+    code, out, err = run(capsys, "--threads", threads, "--format", "csv",
+                         "select", "--path", "baseline", "--metric", "hscore",
+                         "--top-k", "5", "--target", "pool/synth-05-s1.00",
+                         "--sources", "pool")
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_SELECT_HSCORE
+    assert scored == reads == ["synth-05-s1.00"]
+
+
 # printed by the solver before its N x N steps ran in row blocks
 GOLDEN_SELECT_OTCE = """\
 # config: {"command": "select", "hscore_features": "target", \

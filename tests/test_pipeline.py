@@ -1,5 +1,6 @@
 import importlib
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,6 +12,8 @@ from xfersel.bundle import (
     SubsampleSpec,
     TaskBundle,
     TaskDescriptor,
+    load_bundle,
+    write_bundle,
 )
 from xfersel.errors import (
     InvalidSpecError,
@@ -346,6 +349,48 @@ class TestScoreSources:
             with pytest.raises(MissingFeaturesError) as info:
                 score_sources(sources, target, cfg)
             assert info.value.detail == f"otce needs features on {named}"
+
+    def test_hscore_target_checks_every_source_before_the_one_score(
+            self, monkeypatch):
+        def unscored(*args):
+            raise AssertionError("scored before every source was checked")
+        monkeypatch.setattr(pipeline, "hscore_segmentation", unscored)
+        wide = make_bundle("ED-7-T2", n=3, h=4, w=4, c=3, seed=97)
+        cfg = SelectionConfig(metric=Metric.HSCORE)
+        with pytest.raises(XferselError) as info:
+            score_sources([*self.pool, wide], self.target, cfg)
+        assert info.value.detail == "channel counts differ: 3 vs 2"
+        bare = TaskBundle(self.target.descriptor, self.target.labels, None)
+        assert score_sources([], bare, cfg) == []
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_hscore_memory_does_not_grow_with_the_pool(tmp_path, threads):
+    # each source's 1 MiB export is read while it is scored and then freed,
+    # so six sources peak no higher than one source on each worker
+    payload = 8 * 32 * 32 * 32 * 4
+    pool = []
+    for i in range(6):
+        write_bundle(make_bundle(f"ED-{i}-T2", n=8, h=32, w=32, c=32,
+                                 seed=i), tmp_path / str(i))
+        pool.append(load_bundle(tmp_path / str(i)))
+    target = make_bundle("ET-9-T2", n=8, h=32, w=32, c=1, seed=9)
+
+    def peak(sources, threads):
+        cfg = SelectionConfig(path=SelectionPath.BASELINE,
+                              metric=Metric.HSCORE,
+                              hscore_features=HScoreFeatures.SOURCE,
+                              threads=threads)
+        tracemalloc.start()
+        try:
+            select(sources, target, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak([load_bundle(tmp_path / "0")], 1)
+    assert one > payload
+    assert peak(pool, threads) <= threads * one + payload / 4
 
 
 class TestMapSources:
