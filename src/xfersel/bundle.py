@@ -123,9 +123,11 @@ class LabelMaskSet:
                 or not 0 <= label <= 255):
             raise InvalidSpecError(f"positive_class must be a uint8 label "
                                    f"in 0..255, got {label!r}")
+        values = np.asarray(self.masks)
+        real = values.dtype.kind != "c"     # numpy warns on a complex cast
         with np.errstate(invalid="ignore"):
-            masks = np.asarray(self.masks).astype(np.uint8, copy=False)
-        if not np.array_equal(masks, self.masks):
+            masks = values.astype(np.uint8, copy=False) if real else values
+        if not (real and np.array_equal(masks, values)):
             raise InvalidSpecError(f"task {self.task_id!r} has non-uint8 masks")
         if masks.ndim != 3:
             raise ShapeMismatchError(
@@ -147,9 +149,11 @@ class LabelMaskSet:
     def width(self) -> int:
         return self.masks.shape[2]
 
-    def binarized(self) -> np.ndarray:
-        """Foreground occupancy as float64 0/1 against positive_class."""
-        return (self.masks == self.positive_class).astype(np.float64)
+    @property
+    def foreground(self) -> np.ndarray:
+        """The task's RoI, ``masks == positive_class`` as uint8 0/1, which
+        every stage reads; made at each call, so the set keeps no copy."""
+        return (self.masks == self.positive_class).view(np.uint8)
 
 
 class PixelFeatureSet:
@@ -553,7 +557,7 @@ def load_bundle(path: str | Path) -> TaskBundle:
 
 def flatten_pixels(fs: PixelFeatureSet,
                    sampler: SubsampleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a feature set to (features [N, C], labels [N]) pixel lists.
+    """Flatten a feature set to (features [N, C], foreground [N]) pixel lists.
 
     Pixels are ordered row-major by (sample, row, col).  When the total pixel
     count exceeds ``sampler.max_pixels`` a seeded uniform subsample without
@@ -565,7 +569,7 @@ def flatten_pixels(fs: PixelFeatureSet,
     if fs is None or fs.n_pixels == 0:
         raise EmptyFeatureSetError("cannot flatten an empty feature set")
     n_total = fs.n_pixels
-    labels = fs.aligned_labels.masks.reshape(n_total)
+    labels = fs.aligned_labels.foreground.reshape(n_total)
     rows = None
     if n_total > sampler.max_pixels:
         rows = np.asarray(subsample_indices(n_total, sampler.max_pixels,

@@ -72,13 +72,11 @@ def _pixel_hscores(features: np.ndarray, labels: np.ndarray,
     """H-scores of the pixel problems ``features[:, pixels]`` [n, P, C]
     against ``labels[:, pixels]`` [n, P]; returns [P] float64.
 
-    Labels are small non-negative integers (class indices or mask values),
-    so the classes present are found by one comparison per value up to the
-    largest, not by sorting every label.
+    Labels are class indices 0..K-1: the ``np.unique`` indices of the
+    classification form or the segmentation form's 0/1 foreground.
     """
     n, _, c = features.shape
-    classes = np.array([k for k in range(int(labels.max()) + 1)
-                        if (labels == k).any()], labels.dtype)
+    classes = np.arange(labels.max() + 1, dtype=labels.dtype)
     step = _chunk_pixels(n, c, len(classes))
     scores = np.empty(len(pixels))
     for lo in range(0, len(pixels), step):
@@ -127,7 +125,7 @@ def hscore_classification(features: np.ndarray, labels: np.ndarray,
 def hscore_segmentation(fs: PixelFeatureSet,
                         params: HScoreParams = HScoreParams(),
                         keep_per_pixel: bool = False) -> HScoreReport:
-    """Pixel-wise H-score of a feature set against its aligned labels.
+    """Pixel-wise H-score of a feature set against its aligned foreground.
 
     ``fs`` should hold the source model's outputs on the target images,
     aligned with the target labels.  Positions where only one class occurs
@@ -139,7 +137,7 @@ def hscore_segmentation(fs: PixelFeatureSet,
     if n < 2:
         raise DegenerateInputError(f"need >= 2 samples per pixel, got {n}")
     feats = fs.features.reshape(n, h * w, c)
-    labs = fs.aligned_labels.masks.reshape(n, h * w)
+    labs = fs.aligned_labels.foreground.reshape(n, h * w)
     active = np.flatnonzero((labs != labs[0]).any(axis=0))
 
     per_pixel = np.zeros(h * w)

@@ -150,12 +150,11 @@ def pooled_class_masks(bundles: list[TaskBundle],
                        reference: LabelMaskSet) -> LabelMaskSet:
     """Pool several tasks' masks into one set on the reference grid.
 
-    Each task's masks are aligned by :func:`aligned_binary`, so tasks with
-    heterogeneous class encodings or resolutions can be pooled.
+    Each task's foreground is aligned by :func:`aligned_binary`, so tasks
+    with heterogeneous class encodings or resolutions can be pooled.
     """
-    pooled = np.concatenate([
-        aligned_binary(b.labels, reference.height, reference.width).astype(
-            np.uint8) for b in bundles])
+    pooled = np.concatenate([aligned_binary(b.labels, reference.height,
+                                            reference.width) for b in bundles])
     ids = "+".join(b.task_id for b in bundles)
     return LabelMaskSet(task_id=ids, masks=pooled, positive_class=1)
 

@@ -8,9 +8,9 @@ divisor n):
                  / ((mu_x^2 + mu_y^2 + C1) * (var_x + var_y + C2))
 
 with C1 = (k1*L)^2 and C2 = (k2*L)^2 at the constants of Wang et al. (2004),
-k1 = 0.01, k2 = 0.03 and L = 1.  Two aggregation modes lift this to mask
-sets: ``PAIRED`` scores a seeded sample of index pairs and averages,
-``MEAN`` scores the per-pixel mean foreground-occupancy masks once.
+k1 = 0.01, k2 = 0.03 and L = 1, on each set's ``foreground``.  Two modes
+lift this to mask sets: ``PAIRED`` scores a seeded sample of index pairs
+and averages, ``MEAN`` the per-pixel mean foreground occupancy once.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ def resample_nearest(mask: np.ndarray, height: int, width: int) -> np.ndarray:
 
 def aligned_binary(labels: LabelMaskSet, height: int,
                    width: int) -> np.ndarray:
-    """``labels`` binarized against its own positive class, then resampled
-    (nearest-neighbor) to ``height`` x ``width`` if its grid differs."""
-    binary = labels.binarized()
+    """The foreground of ``labels``, resampled (nearest-neighbor) to
+    ``height`` x ``width`` if its grid differs."""
+    binary = labels.foreground
     if binary.shape[1:] != (height, width):
         binary = np.stack([resample_nearest(m, height, width) for m in binary])
     return binary
@@ -87,8 +87,8 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
     Parameters
     ----------
     source, target : LabelMaskSet
-        Masks are binarized against each set's own positive class; source
-        masks are resampled (nearest-neighbor) to the target shape if needed.
+        Each set's foreground is scored; the source's is resampled
+        (nearest-neighbor) to the target shape if needed.
     mode : PairingMode
         PAIRED draws ``min(n_s, n_t, max_pairs)`` index pairs without
         replacement per side (seeded, ascending index order on both sides)
@@ -103,7 +103,7 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
     if max_pairs < 1:
         raise InvalidSpecError(f"max_pairs must be >= 1, got {max_pairs}")
     src = aligned_binary(source, target.height, target.width)
-    tgt = target.binarized()
+    tgt = target.foreground
 
     if mode is PairingMode.MEAN:
         score = ssim_global(src.mean(axis=0), tgt.mean(axis=0))

@@ -176,10 +176,9 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray,
 
 def probe_target(target: TaskBundle) -> tuple[np.ndarray, np.ndarray]:
     """Every pixel of a target with features, as the probe evaluates it:
-    float64 features [N, C] and flags [N] of its positive class."""
+    float64 features [N, C] and its 0/1 foreground [N]."""
     return (target.features.features.reshape(-1, target.features.channels)
-            .astype(np.float64),
-            target.labels.masks.reshape(-1) == target.labels.positive_class)
+            .astype(np.float64), target.labels.foreground.reshape(-1))
 
 
 def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
@@ -188,8 +187,8 @@ def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
     """Pixel accuracy on the target of a probe fit on the source's pixels.
 
     The training set is a seeded subsample of at most ``PROBE_TRAIN_PIXELS``
-    source pixels; evaluation uses every target pixel.  Each bundle's
-    foreground is its own positive class.  Deterministic per seed.
+    source pixels; evaluation uses every target pixel.  Both sides train
+    and score on their ``LabelMaskSet.foreground``.  Deterministic per seed.
     ``target_pixels`` is the target as :func:`probe_target` casts it, which
     a caller probing one target from many sources passes to cast it once.
     """
@@ -197,7 +196,7 @@ def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
                   target.require_features("probe").channels)
     train_x, train_y = flatten_pixels(
         source.features, SubsampleSpec(max_pixels=PROBE_TRAIN_PIXELS, seed=seed))
-    w = _fit_logistic(train_x, train_y == source.labels.positive_class)
+    w = _fit_logistic(train_x, train_y)
 
     if target_pixels is None:
         target_pixels = probe_target(target)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,20 @@ def make_bundle(task_id="ED-14-T2", n=3, h=8, w=8, c=4, seed=0,
             aligned_labels=labels)
     return TaskBundle(descriptor=desc, labels=labels, features=features,
                       extractor="test-extractor")
+
+
+def relabel(bundle, foreground, background, positive_class, seed):
+    """``bundle`` with its 0/1 masks relabelled: the foreground pixels
+    ``foreground``, each background pixel drawn from ``background``, and
+    ``positive_class`` on the labels; the features are kept."""
+    rng = np.random.default_rng(seed)
+    binary = bundle.labels.masks
+    masks = np.where(binary == 1, foreground,
+                     rng.choice(background, binary.shape)).astype(np.uint8)
+    labels = LabelMaskSet(bundle.task_id, masks, positive_class)
+    features = PixelFeatureSet(bundle.task_id, bundle.features.features,
+                               labels)
+    return dataclasses.replace(bundle, labels=labels, features=features)
 
 
 @pytest.fixture

@@ -86,7 +86,7 @@ def _masks(*shape):
     *[(lambda value=value: LabelMaskSet(task_id="x",
                                         masks=np.full((1, 2, 2), value)),
        "InvalidSpec", "task 'x' has non-uint8 masks")
-      for value in (300, -1, 0.7, np.nan)],
+      for value in (300, -1, 0.7, np.nan, 2 + 1j, 2 + 0j)],
     (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8)), _masks(3, 8, 8)),
      "ShapeMismatch", "features must be [n_samples, H, W, C], got ndim=3"),
     (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8, 0)), _masks(3, 8, 8)),
@@ -98,6 +98,7 @@ def _masks(*shape):
         "positive-class-256", "positive-class-negative",
         "positive-class-float", "positive-class-str", "positive-class-bool",
         "masks-300", "masks-negative", "masks-fraction", "masks-nan",
+        "masks-complex", "masks-complex-real",
         "features-3d",
         "features-no-channel", "features-misaligned"])
 def test_spec_guards(call, code, detail):
@@ -111,7 +112,8 @@ def test_spec_guards(call, code, detail):
 def test_integer_positive_class_accepted(label):
     masks = np.array([[[0, 2], [255, 2]]], np.uint8)
     labels = LabelMaskSet(task_id="x", masks=masks, positive_class=label)
-    np.testing.assert_array_equal(labels.binarized(), masks == label)
+    assert labels.foreground.dtype == np.uint8
+    np.testing.assert_array_equal(labels.foreground, masks == label)
 
 
 @pytest.mark.parametrize("masks", [[[[0, 1], [255, 2]]],

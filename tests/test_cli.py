@@ -15,7 +15,7 @@ from xfersel.cli import main
 from xfersel.ranking import build_ranking, write_ranking_csv
 from xfersel.synth import SynthSpec, generate_tasks
 
-from conftest import make_bundle
+from conftest import make_bundle, relabel
 
 
 def run(capsys, *argv):
@@ -108,6 +108,29 @@ class TestScoreCmd:
         assert code == 0
         assert "hscore,0.000000" in out
         assert "skipped_pixels,9" in out
+
+    @pytest.mark.parametrize("metric", ["otce", "hscore"])
+    def test_positive_class_two_scores_as_binary(self, tmp_path, capsys,
+                                                 metric):
+        # bundles on disk with masks {0, 1, 2} and positive_class 2 print
+        # what their 0/1 copies print
+        pair = [make_bundle(seed=1), make_bundle(seed=2)]
+        results = []
+        for name, bundles in (
+                ("binary", pair),
+                ("labels", [relabel(b, 2, (0, 1), 2, seed=i)
+                            for i, b in enumerate(pair)])):
+            for role, b in zip(("s", "t"), bundles):
+                write_bundle(b, tmp_path / name / role)
+            code, out, err = run(capsys, "score", "--metric", metric,
+                                 "--source", str(tmp_path / name / "s"),
+                                 "--target", str(tmp_path / name / "t"))
+            assert (code, err) == (0, "")
+            results.append(out.splitlines()[1:])
+        manifest = json.loads((tmp_path / "labels" / "t" / "manifest.json")
+                              .read_text())
+        assert manifest["positive_class"] == 2
+        assert results[0] == results[1]
 
     def test_channel_mismatch_exit_2(self, tmp_path, capsys):
         src = make_bundle(seed=1, c=2)

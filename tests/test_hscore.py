@@ -16,9 +16,10 @@ from xfersel.synth import SynthSpec, generate_tasks
 from oracles import hscore_reference, hscore_segmentation_reference
 
 
-def feature_set(features, masks, task_id="t"):
+def feature_set(features, masks, task_id="t", positive_class=1):
     labels = LabelMaskSet(task_id=task_id,
-                          masks=np.asarray(masks, np.uint8))
+                          masks=np.asarray(masks, np.uint8),
+                          positive_class=positive_class)
     return PixelFeatureSet(task_id=task_id,
                            features=np.asarray(features, np.float32),
                            aligned_labels=labels)
@@ -154,14 +155,15 @@ class TestSegmentation:
             hscore_segmentation(fs)
 
     def test_gapped_classes_match_oracle(self):
-        # three classes with gaps in their ids, some pixels missing a class
+        # three labels with gaps in their ids score as the foreground of
+        # the positive one; some pixels miss a label
         rng = np.random.Generator(np.random.Philox(17))
         feats = rng.standard_normal((12, 3, 4, 3)).astype(np.float32)
         masks = np.array([0, 2, 5], np.uint8)[rng.integers(0, 3, (12, 3, 4))]
         masks[:, 0, 0] = [0, 2] * 6
-        fs = feature_set(feats, masks)
+        fs = feature_set(feats, masks, positive_class=2)
         expected = hscore_segmentation_reference(
-            feats.astype(np.float64), masks, ridge=1e-8)
+            feats.astype(np.float64), masks == 2, ridge=1e-8)
         assert hscore_segmentation(fs).score == pytest.approx(expected,
                                                               abs=1e-9)
 
@@ -201,10 +203,11 @@ class TestSegmentation:
         rng = np.random.Generator(np.random.Philox(20))
         feats = rng.standard_normal((10, 1, 1, 3)).astype(np.float32)
         masks = rng.integers(0, 3, (10, 1, 1)).astype(np.uint8)
-        masks[:2, 0, 0] = [0, 1]
-        report = hscore_segmentation(feature_set(feats, masks))
+        masks[:2, 0, 0] = [0, 2]
+        report = hscore_segmentation(feature_set(feats, masks,
+                                                 positive_class=2))
         assert report.score == hscore_classification(
-            feats[:, 0, 0].astype(np.float64), masks[:, 0, 0])
+            feats[:, 0, 0].astype(np.float64), masks[:, 0, 0] == 2)
 
     @pytest.mark.parametrize("n, c, deficient", [(16, 16, True),
                                                  (64, 8, False)])

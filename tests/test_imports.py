@@ -10,7 +10,9 @@ private ``def``, ``class`` or assignment, or a private method, whose name no
 module under ``src/xfersel/`` reads.  Private means a leading ``_`` and not
 a dunder.  ``pipeline`` and ``cli`` hold the package's glue, which the
 package itself calls, so a public module-level function of theirs that no
-module reads is a helper a merge left behind.
+module reads is a helper a merge left behind.  Which label value is a
+task's RoI is decided once, by ``LabelMaskSet.foreground``, so no module
+but ``bundle`` reads a ``.positive_class`` attribute.
 """
 
 import ast
@@ -22,6 +24,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xfersel"
 
 # modules whose public module-level functions the package itself must read
 GLUE = ("pipeline", "cli")
+
+# the one module that may read a label set's positive class
+FOREGROUND_RULE = "bundle"
 
 # (module, name) -> why the import stays although the module never reads it
 KEPT = {
@@ -143,3 +148,29 @@ def test_guard_sees_an_unread_glue_function():
     other = "def lib(): return 5\n"
     assert _unread_public_functions({"m": glue, "n": "m.run()\n",
                                      "lib": other}, ("m",)) == {"m.leftover"}
+
+
+def _positive_class_reads(sources: dict[str, str]) -> set[str]:
+    """``module:line`` of every read of a ``.positive_class`` attribute
+    outside ``FOREGROUND_RULE``; a constructor keyword is no read."""
+    return {f"{module}:{node.lineno}" for module, text in sources.items()
+            if module != FOREGROUND_RULE
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and node.attr == "positive_class"
+            and not isinstance(node.ctx, ast.Store)}
+
+
+def test_only_bundle_reads_positive_class():
+    reads = _positive_class_reads(
+        {str(p.relative_to(PACKAGE).with_suffix("")): p.read_text()
+         for p in sorted(PACKAGE.rglob("*.py"))})
+    assert not reads, f"read .positive_class, not .foreground: {sorted(reads)}"
+
+
+def test_guard_sees_a_positive_class_read():
+    stage = ("labels = LabelMaskSet('t', masks, positive_class=1)\n"
+             "flags = labels.masks == labels.positive_class\n")
+    rule = "def foreground(self): return self.masks == self.positive_class\n"
+    assert _positive_class_reads({"m": stage, FOREGROUND_RULE: rule}) == \
+        {"m:2"}
