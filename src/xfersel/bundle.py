@@ -123,8 +123,13 @@ class LabelMaskSet:
                 or not 0 <= label <= 255):
             raise InvalidSpecError(f"positive_class must be a uint8 label "
                                    f"in 0..255, got {label!r}")
-        values = np.asarray(self.masks)
-        real = values.dtype.kind != "c"     # numpy warns on a complex cast
+        try:
+            values = np.asarray(self.masks)
+        except ValueError:                  # a ragged nested list
+            values = np.asarray(None)
+        # only arrays of real numbers are cast: a complex cast warns, a
+        # string cast parses text and an object cast may raise
+        real = values.dtype.kind in "biuf"
         with np.errstate(invalid="ignore"):
             masks = values.astype(np.uint8, copy=False) if real else values
         if not (real and np.array_equal(masks, values)):

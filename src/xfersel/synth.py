@@ -102,35 +102,48 @@ def _task_rng(seed: int, task_index: int, purpose: int) -> np.random.Generator:
 
 
 def _draw_masks(spec: SynthSpec, task_index: int) -> np.ndarray:
+    """Each sample smoothed on its own grid (sigma 0 on the sample axis)
+    and cut at its own quantile."""
     rng = _task_rng(spec.seed, task_index, 0)
-    masks = np.empty((spec.n_samples, spec.height, spec.width), dtype=np.uint8)
-    for i in range(spec.n_samples):
-        fld = gaussian_filter(
-            rng.standard_normal((spec.height, spec.width)), SMOOTHING_SIGMA)
-        masks[i] = (fld > np.quantile(fld, FOREGROUND_QUANTILE)).astype(np.uint8)
-    return masks
+    block = gaussian_filter(
+        rng.standard_normal((spec.n_samples, spec.height, spec.width)),
+        (0, SMOOTHING_SIGMA, SMOOTHING_SIGMA))
+    cuts = np.quantile(block.reshape(spec.n_samples, -1),
+                       FOREGROUND_QUANTILE, axis=1)
+    return (block > cuts[:, None, None]).view(np.uint8)
 
 
 def _draw_features(spec: SynthSpec, task_index: int,
                    masks: np.ndarray) -> np.ndarray:
     rng = _task_rng(spec.seed, task_index, 1)
     s = spec.signal_strengths[task_index]
-    noise = rng.standard_normal(
-        (spec.n_samples, spec.height, spec.width, spec.channels)) * NOISE_SIGMA
-    signs = np.where(masks[..., None] > 0, MEAN_SCALE, -MEAN_SCALE)
-    return (s * signs + (1.0 - s) * noise).astype(np.float32)
+    mixed = rng.standard_normal(
+        (spec.n_samples, spec.height, spec.width, spec.channels))
+    mixed *= NOISE_SIGMA
+    mixed *= 1.0 - s
+    # s * (-MEAN_SCALE) rounds to -(s * MEAN_SCALE): one product per class
+    mixed += np.where(masks[..., None] > 0, s * MEAN_SCALE, -s * MEAN_SCALE)
+    return mixed.astype(np.float32)
+
+
+def _memory_need(spec: SynthSpec) -> int:
+    """The bytes :func:`generate_tasks` holds at its peak, an upper bound."""
+    cells = spec.n_samples * spec.height * spec.width
+    c = spec.channels
+    return cells * (spec.n_tasks * (1 + 4 * c) + 8 * c + 10)
 
 
 def generate_tasks(spec: SynthSpec) -> list[TaskBundle]:
     """Build n_tasks bundles, fully deterministic per spec seed.
 
-    Every task's uint8 masks and float32 features are kept, and one task's
-    features are drawn through about three float64 arrays of their size.
-    When that is more than the available memory this raises
-    ``InvalidSpecError`` before anything is allocated.
+    Every task's uint8 masks and float32 features are kept, 1 + 4C bytes a
+    cell, and one task at a time is drawn through at most 8C + 10 bytes a
+    cell more: its float64 noise block and signs, or its float64 field
+    block and the quantile's copy of it.  When that is more than the
+    available memory this raises ``InvalidSpecError`` before anything is
+    allocated.
     """
-    cells = spec.n_samples * spec.height * spec.width
-    need = cells * (spec.n_tasks * (1 + 4 * spec.channels) + 24 * spec.channels)
+    need = _memory_need(spec)
     have = available_memory_bytes()
     if need > have:
         raise InvalidSpecError(

@@ -9,6 +9,7 @@ used to check.
 import math
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
 
 def ssim_reference(x, y, k1=0.01, k2=0.03, dynamic_range=1.0):
@@ -263,3 +264,23 @@ def subsample_sparse_reference(n, k, seed):
         j = i + word_reference(seed, i) % (n - i)
         arr[i], arr[j] = arr.get(j, j), arr.get(i, i)
     return sorted(arr.get(i, i) for i in range(k))
+
+
+def synth_task_reference(spec, task_index):
+    """One ``synth`` task drawn a sample at a time: Philox keyed by
+    ``word(seed, 16 t + purpose)``; purpose 0 gives each mask its own (H, W)
+    field, smoothed at sigma 2.5 and cut at its 0.65 quantile; purpose 1
+    gives the noise, mixed out of place with the +-0.15 class means."""
+    def stream(purpose):
+        key = word_reference(spec.seed, 16 * task_index + purpose)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    n, h, w, c = spec.n_samples, spec.height, spec.width, spec.channels
+    rng, masks = stream(0), np.empty((n, h, w), np.uint8)
+    for i in range(n):
+        field = gaussian_filter(rng.standard_normal((h, w)), 2.5)
+        masks[i] = (field > np.quantile(field, 0.65)).astype(np.uint8)
+    s = spec.signal_strengths[task_index]
+    noise = stream(1).standard_normal((n, h, w, c)) * 1.0
+    signs = np.where(masks[..., None] > 0, 0.15, -0.15)
+    return masks, (s * signs + (1.0 - s) * noise).astype(np.float32)

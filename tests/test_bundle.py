@@ -87,6 +87,10 @@ def _masks(*shape):
                                         masks=np.full((1, 2, 2), value)),
        "InvalidSpec", "task 'x' has non-uint8 masks")
       for value in (300, -1, 0.7, np.nan, 2 + 1j, 2 + 0j)],
+    *[(lambda masks=masks: LabelMaskSet(task_id="x", masks=masks),
+       "InvalidSpec", "task 'x' has non-uint8 masks")
+      for masks in (np.full((1, 2, 2), 2 + 1j, dtype=object),
+                    np.full((1, 2, 2), None), [[["a"]]], [[[0, 1], [0]]])],
     (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8)), _masks(3, 8, 8)),
      "ShapeMismatch", "features must be [n_samples, H, W, C], got ndim=3"),
     (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8, 0)), _masks(3, 8, 8)),
@@ -98,7 +102,8 @@ def _masks(*shape):
         "positive-class-256", "positive-class-negative",
         "positive-class-float", "positive-class-str", "positive-class-bool",
         "masks-300", "masks-negative", "masks-fraction", "masks-nan",
-        "masks-complex", "masks-complex-real",
+        "masks-complex", "masks-complex-real", "masks-object-complex",
+        "masks-object-none", "masks-str", "masks-ragged",
         "features-3d",
         "features-no-channel", "features-misaligned"])
 def test_spec_guards(call, code, detail):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from xfersel.errors import (
 )
 from xfersel.hscore import hscore_segmentation
 from xfersel.otce import otce
-from xfersel.synth import SynthSpec, generate_tasks, probe_transfer
+from xfersel.synth import (
+    SynthSpec,
+    _memory_need,
+    generate_tasks,
+    probe_transfer,
+)
+
+from oracles import synth_task_reference
 
 SAMPLER = SubsampleSpec(max_pixels=256, seed=7)
 
@@ -60,6 +68,31 @@ class TestGeneration:
             for f in sub.iterdir():
                 twin = tmp_path / "b" / sub.name / f.name
                 assert f.read_bytes() == twin.read_bytes()
+
+    @pytest.mark.parametrize("n, h, w, c, seed", [
+        (1, 2, 2, 1, 0), (3, 5, 7, 2, 42), (2, 100, 3, 1, 42),
+        (16, 32, 32, 4, 42), (7, 9, 64, 3, 2**63), (64, 64, 64, 8, 42),
+        (5, 3, 3, 1, 42)], ids=str)
+    def test_tasks_match_reference(self, n, h, w, c, seed):
+        spec = SynthSpec(n_tasks=3, n_samples=n, height=h, width=w,
+                         channels=c, signal_strengths=(0.0, 0.3, 1.0),
+                         seed=seed)
+        for t, b in enumerate(generate_tasks(spec)):
+            masks, features = synth_task_reference(spec, t)
+            np.testing.assert_array_equal(b.labels.masks, masks)
+            assert b.features.features.tobytes() == features.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 8, 128])
+    def test_memory_estimate_bounds_peak(self, channels):
+        spec = SynthSpec(n_tasks=1, n_samples=8, height=32, width=32,
+                         channels=channels, signal_strengths=(0.5,))
+        tracemalloc.start()
+        try:
+            generate_tasks(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _memory_need(spec) <= 1.5 * peak
 
     def test_bundles_reload(self, tmp_path):
         b = generate_tasks(small_spec([0.5]))[0]
