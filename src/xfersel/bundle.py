@@ -18,13 +18,14 @@ size, mtime), ``read()`` returns the whole array and ``read(rows)`` the
 sampled feature rows.  :func:`load_bundle` reads the labels whole and
 leaves the features payload on disk, checking its finiteness in one
 streaming pass.  :func:`flatten_pixels` then reads only the rows it
-samples; ``PixelFeatureSet.features`` reads the whole array at each use
-and keeps no copy.  Each read checks the identity again, that it did not
-come up short and that the values it read are finite, so a
-``features.bin`` changed after loading is ``CorruptBinary``
-(``NonFiniteFeature`` for a NaN written without changing its size or mtime,
-``IoFailure`` once deleted).  :func:`write_bundle` writes each header and
-then the array's own buffer, so it holds no copy of a payload.
+samples, one ``pread`` per run of consecutive rows;
+``PixelFeatureSet.features`` reads the whole array at each use and keeps
+no copy.  Each read checks the identity again, that it did not come up
+short and that the values it read are finite, so a ``features.bin``
+changed after loading is ``CorruptBinary`` (``NonFiniteFeature`` for a
+NaN written without changing its size or mtime, ``IoFailure`` once
+deleted).  :func:`write_bundle` writes each header and then the array's
+own buffer, so it holds no copy of a payload.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -60,7 +60,7 @@ FORMAT_VERSION = 1
 
 # the features payload's element type, float32 little-endian
 _FEATURE_DTYPE = np.dtype("<f4")
-# bytes a streaming pass or a merged row read takes from a file at a time
+# bytes a streaming pass or a run of consecutive rows reads at a time
 _READ_BYTES = 256 << 10
 
 MANIFEST_NAME = "manifest.json"
@@ -216,8 +216,8 @@ class PixelFeatureSet:
         return self._checked(self._file.read())
 
     def pixel_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Rows of the [n_pixels, C] pixel view: the ascending ``rows``, or
-        all; a set on disk reads just those rows and checks them again."""
+        """Rows of the [n_pixels, C] pixel view: the ``rows``, in any order,
+        or all; a set on disk reads just those rows and checks them again."""
         if rows is not None and self._file is not None:
             return self._checked(self._file.read(rows))
         flat = self.features.reshape(self.n_pixels, self.channels)
@@ -397,7 +397,7 @@ class _Payload:
     def read(self, rows: np.ndarray | None = None) -> np.ndarray:
         """The whole payload, read into a new array, which numpy aligns
         whatever the header length (a view at the header's offset would not
-        be); or the ascending ``rows`` of the [n_pixels, C] view."""
+        be); or the ``rows``, in any order, of the [n_pixels, C] view."""
         with _opened(self.file, self.identity) as fh:
             if rows is not None:
                 return self._gather(fh.fileno(), rows)
@@ -407,27 +407,21 @@ class _Payload:
             return out
 
     def _gather(self, fd: int, rows: np.ndarray) -> np.ndarray:
-        """Rows less than a page apart share one ``pread`` of at most
-        ``_READ_BYTES`` (or one row); adjacent rows land in place."""
+        """One ``pread`` per run of consecutive rows, straight into its slice
+        of the result; a run is split so no read passes ``_READ_BYTES`` (or
+        one row)."""
         width = self.dims[-1]
         row = width * self.dtype.itemsize
+        step = max(_READ_BYTES // row, 1)
         out = np.empty((len(rows), width), self.dtype)
-        buf = np.empty(max(_READ_BYTES, row), np.uint8)
         starts = (self.offset + rows * row).tolist()
         lo = 0
         for hi in range(1, len(rows) + 1):
-            if (hi < len(rows)
-                    and starts[hi] - starts[hi - 1] < row + mmap.PAGESIZE
-                    and starts[hi] + row - starts[lo] <= len(buf)):
+            if (hi < len(rows) and starts[hi] == starts[hi - 1] + row
+                    and hi - lo < step):
                 continue
-            span = starts[hi - 1] + row - starts[lo]
-            adjacent = span == (hi - lo) * row
-            into = out[lo:hi] if adjacent else buf[:span]
-            if os.preadv(fd, [into], starts[lo]) != span:
+            if os.preadv(fd, [out[lo:hi]], starts[lo]) != (hi - lo) * row:
                 self._short(starts[lo])
-            if not adjacent:
-                out[lo:hi] = into.view(self.dtype).reshape(-1, width)[
-                    rows[lo:hi] - rows[lo]]
             lo = hi
         return out
 

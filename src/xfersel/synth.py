@@ -167,13 +167,12 @@ def generate_tasks(spec: SynthSpec) -> list[TaskBundle]:
     return bundles
 
 
-def _fit_logistic(x: np.ndarray, y: np.ndarray,
-                  ridge: float = PROBE_RIDGE) -> np.ndarray:
+def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ridge-regularized logistic fit by Newton steps; intercept unpenalized."""
     n, c = x.shape
     design = np.hstack([x, np.ones((n, 1))])
     w = np.zeros(c + 1)
-    penalty = ridge * np.r_[np.ones(c), 0.0]
+    penalty = PROBE_RIDGE * np.r_[np.ones(c), 0.0]
     for _ in range(PROBE_NEWTON_STEPS):
         z = np.clip(design @ w, -35, 35)
         p = 1.0 / (1.0 + np.exp(-z))

@@ -1,4 +1,3 @@
-import mmap
 import os
 import struct
 import sys
@@ -445,24 +444,45 @@ class TestFlattenPixels:
             np.testing.assert_array_equal(got_labels, want_labels)
 
     @pytest.mark.parametrize("c", [4, 600])
-    def test_rows_within_a_page_share_one_read(self, tmp_path, monkeypatch,
-                                               c):
-        # 4 channels: the 3 KiB payload is one read; 600 channels: of the
-        # 9 rows of 2400 bytes drawn, rows 47 and 48 share a read and the
-        # others, at least 7200 bytes apart, are one read each on 4 KiB pages
+    def test_one_read_per_run_of_consecutive_rows(self, tmp_path, monkeypatch,
+                                                  c):
+        # each run of consecutive rows is one pread, split so that no read
+        # passes max(_READ_BYTES, row) bytes: of the 9 rows drawn, rows 47
+        # and 48 form one run; 100 consecutive rows with 300-byte reads are
+        # 6 reads of up to 18 rows at 4 channels, 100 reads of one
+        # 2400-byte row at 600 channels
         b = make_bundle(n=3, h=8, w=8, c=c)
         write_bundle(b, tmp_path / "b")
         loaded = load_bundle(tmp_path / "b")
-        offsets = []
+        row = c * 4
+        sizes = []
         preadv = os.preadv
 
         def counted(fd, buffers, offset):
-            offsets.append(offset)
+            sizes.append(sum(memoryview(buf).nbytes for buf in buffers))
             return preadv(fd, buffers, offset)
 
         monkeypatch.setattr(os, "preadv", counted)
         rows = np.asarray(subsample_reference(192, 9, 0), dtype=np.int64)
         flatten_pixels(loaded.features, SubsampleSpec(max_pixels=9, seed=0))
-        starts = 39 + rows * c * 4
-        gaps = np.diff(starts) - c * 4
-        assert len(offsets) == 1 + int((gaps >= mmap.PAGESIZE).sum())
+        assert len(sizes) == 1 + int((np.diff(rows) != 1).sum())
+        assert max(sizes) <= max(bundle_module._READ_BYTES, row)
+
+        sizes.clear()
+        monkeypatch.setattr(bundle_module, "_READ_BYTES", 300)
+        block = np.arange(10, 110)
+        got = loaded.features.pixel_rows(block)
+        assert len(sizes) == -(-100 // max(300 // row, 1))
+        assert max(sizes) <= max(300, row) and sum(sizes) == 100 * row
+        assert got.tobytes() == b.features.pixel_rows(block).tobytes()
+
+    @pytest.mark.parametrize("rows", [[5, 2], [3, 3, 7], [0, 31, 1]],
+                             ids=["descending", "duplicates", "unsorted"])
+    def test_rows_read_from_disk_in_any_order(self, tmp_path, rows):
+        b = make_bundle(n=2, h=4, w=4, c=3)
+        write_bundle(b, tmp_path / "b")
+        loaded = load_bundle(tmp_path / "b")
+        rows = np.asarray(rows, dtype=np.int64)
+        got, want = (fs.pixel_rows(rows) for fs in (loaded.features,
+                                                     b.features))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,11 +13,13 @@ import pytest
 import xfersel
 from xfersel import fixtures
 from xfersel.bundle import write_bundle
-from xfersel.cli import main
+from xfersel.cli import build_parser, main
 from xfersel.ranking import build_ranking, write_ranking_csv
 from xfersel.synth import SynthSpec, generate_tasks
 
 from conftest import make_bundle, relabel
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -1411,3 +1415,66 @@ class TestGlobalFlags:
                                 text=True)
         assert result.returncode == 0
         assert "roi-sim" in result.stdout
+
+
+def _readme_usages() -> dict[str, str]:
+    """subcommand -> its usage, from the rows of README's command table."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n#", 1)[0]
+    usages = [row.replace("\\|", "|") for row in
+              re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)]
+    return {usage.split()[0]: usage for usage in usages}
+
+
+def _shown_options(usage: str) -> dict[str, tuple[bool, str | None]]:
+    """option -> (in brackets, value text or None) as a usage shows it."""
+    return {name: (bool(bracket), value or None) for bracket, name, value in
+            re.findall(r"(\[?)(--[\w-]+)(?: ([^\s\[\]-][^\s\[\]]*))?",
+                       usage)}
+
+
+def _shows_default(value: str | None, default) -> bool:
+    """Whether one of the ``|`` alternatives of ``value`` is ``default``;
+    numbers compare as numbers, so ``1e-8`` shows ``1e-08``."""
+    def same(alt):
+        if isinstance(default, str):
+            return alt == default
+        try:
+            return float(alt) == default
+        except ValueError:
+            return False
+    return value is not None and any(map(same, value.split("|")))
+
+
+def test_readme_command_table_matches_parser():
+    # every subcommand has a row naming each of its options: required ones
+    # bare, optional ones in [...] with their default (or a placeholder
+    # when the default is None), choices as a|b
+    usages = _readme_usages()
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert sorted(usages) == sorted(sub.choices)
+    gaps = []
+    for command, parser in sub.choices.items():
+        shown = _shown_options(usages[command])
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            name = action.option_strings[-1]
+            if name not in shown:
+                gaps.append(f"{command} {name}: missing")
+                continue
+            optional, value = shown.pop(name)
+            if optional == action.required:
+                gaps.append(f"{command} {name}: shown as "
+                            f"{'optional' if optional else 'required'}")
+            elif (optional and action.nargs != 0
+                  and action.default is not None
+                  and not _shows_default(value, action.default)):
+                gaps.append(f"{command} {name}: default "
+                            f"{action.default!r} not shown")
+            if (action.choices
+                    and set((value or "").split("|")) != set(action.choices)):
+                gaps.append(f"{command} {name}: choices {value}")
+        gaps += [f"{command} {name}: not an option" for name in shown]
+    assert gaps == []
