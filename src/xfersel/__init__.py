@@ -30,7 +30,6 @@ from .otce import (
     sinkhorn,
 )
 from .pipeline import (
-    HScoreFeatures,
     Metric,
     NoMatchPolicy,
     SelectionConfig,
@@ -56,7 +55,6 @@ from .synth import ProbeResult, SynthSpec, generate_tasks, probe_transfer
 __version__ = "0.1.0"
 
 __all__ = [
-    "HScoreFeatures",
     "HScoreParams",
     "HScoreReport",
     "JointLabelDistribution",

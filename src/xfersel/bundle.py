@@ -31,8 +31,10 @@ own buffer, so it holds no copy of a payload.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -66,6 +68,20 @@ _READ_BYTES = 256 << 10
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.bin"
 FEATURES_NAME = "features.bin"
+
+
+def _real_array(values, detail: str) -> np.ndarray:
+    """``values`` as an array of real numbers (bool, integer or float).
+    Complex, object, string or ragged input is ``InvalidSpec: <detail>``
+    before any cast: a complex cast warns, a string cast parses text and an
+    object cast may raise."""
+    try:
+        values = np.asarray(values)
+    except ValueError:                  # a ragged nested list
+        values = np.asarray(None)
+    if values.dtype.kind not in "biuf":
+        raise InvalidSpecError(detail)
+    return values
 
 
 def canonical_modality(modality: str) -> str:
@@ -119,21 +135,15 @@ class LabelMaskSet:
 
     def __post_init__(self):
         label = self.positive_class
-        if (not isinstance(label, (int, np.integer)) or isinstance(label, bool)
-                or not 0 <= label <= 255):
+        if not (of_kind(label, numbers.Integral) and 0 <= label <= 255):
             raise InvalidSpecError(f"positive_class must be a uint8 label "
                                    f"in 0..255, got {label!r}")
-        try:
-            values = np.asarray(self.masks)
-        except ValueError:                  # a ragged nested list
-            values = np.asarray(None)
-        # only arrays of real numbers are cast: a complex cast warns, a
-        # string cast parses text and an object cast may raise
-        real = values.dtype.kind in "biuf"
+        detail = f"task {self.task_id!r} has non-uint8 masks"
+        values = _real_array(self.masks, detail)
         with np.errstate(invalid="ignore"):
-            masks = values.astype(np.uint8, copy=False) if real else values
-        if not (real and np.array_equal(masks, values)):
-            raise InvalidSpecError(f"task {self.task_id!r} has non-uint8 masks")
+            masks = values.astype(np.uint8, copy=False)
+        if not np.array_equal(masks, values):
+            raise InvalidSpecError(detail)
         if masks.ndim != 3:
             raise ShapeMismatchError(
                 f"label masks must be [n_samples, H, W], got ndim={masks.ndim}")
@@ -178,8 +188,13 @@ class PixelFeatureSet:
             self._file, self._array = features, None
             shape = features.dims
         else:
+            values = _real_array(
+                features, f"task {task_id!r} features must be real numbers")
             self._file = None
-            self._array = np.asarray(features, dtype=np.float32)
+            # a value past the float32 range becomes inf, which the
+            # finiteness check below names
+            with np.errstate(over="ignore"):
+                self._array = values.astype(np.float32, copy=False)
             shape = self._array.shape
         if len(shape) != 4:
             raise ShapeMismatchError(
@@ -216,8 +231,9 @@ class PixelFeatureSet:
         return self._checked(self._file.read())
 
     def pixel_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Rows of the [n_pixels, C] pixel view: the ``rows``, in any order,
-        or all; a set on disk reads just those rows and checks them again."""
+        """Rows of the [n_pixels, C] pixel view: the integer ``rows``, as
+        the view indexes them, or all; a set on disk reads just those rows
+        and checks them again."""
         if rows is not None and self._file is not None:
             return self._checked(self._file.read(rows))
         flat = self.features.reshape(self.n_pixels, self.channels)
@@ -258,6 +274,34 @@ class TaskBundle:
         return self.features
 
 
+def of_kind(value, kinds) -> bool:
+    """isinstance, where a bool must not pass as a number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+# what a parameter field takes, and the type it is stored as, by its
+# annotation (a string, as every module here postpones annotations)
+_FIELD_KINDS = {"int": (numbers.Integral, int, "an integer"),
+                "float": (numbers.Real, float, "a real number")}
+
+
+def check_fields(params) -> None:
+    """Store each field of the parameter dataclass ``params`` as its
+    annotated type: an ``int`` field takes Python or numpy integers and a
+    ``float`` field real numbers, never a bool.  Anything else, or an
+    integer past the float range, is ``InvalidSpec``."""
+    for f in dataclasses.fields(params):
+        kinds, cast, name = _FIELD_KINDS[f.type]
+        value = getattr(params, f.name)
+        wrong = InvalidSpecError(f"{f.name} must be {name}, got {value!r}")
+        if not of_kind(value, kinds):
+            raise wrong
+        try:
+            object.__setattr__(params, f.name, cast(value))
+        except OverflowError:           # an integer past the float range
+            raise wrong from None
+
+
 def same_channels(a: int, b: int) -> None:
     """Check that two feature exports carry ``a`` and ``b`` equal channels."""
     if a != b:
@@ -272,6 +316,7 @@ class SubsampleSpec:
     seed: int = 42
 
     def __post_init__(self):
+        check_fields(self)
         if self.max_pixels < 1:
             raise InvalidSpecError("max_pixels must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -406,24 +451,35 @@ class _Payload:
             self._expect_length(fh.readinto(out))
             return out
 
-    def _gather(self, fd: int, rows: np.ndarray) -> np.ndarray:
-        """One ``pread`` per run of consecutive rows, straight into its slice
-        of the result; a run is split so no read passes ``_READ_BYTES`` (or
-        one row)."""
-        width = self.dims[-1]
+    def _gather(self, fd: int, rows) -> np.ndarray:
+        """The integer ``rows`` of the [n, C] view, indexed as an array
+        indexes them: a negative row counts from the end, and one outside
+        -n..n-1 is ``IndexError``.  One ``pread`` per run of consecutive
+        rows, straight into its slice of the result; a run is split so no
+        read passes ``_READ_BYTES`` (or one row)."""
+        *lead, width = self.dims
+        n = math.prod(lead)
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":
+            raise IndexError(f"feature rows must be integers, got {rows.dtype}")
+        outside = rows[(rows < -n) | (rows >= n)]
+        if outside.size:
+            raise IndexError(f"index {outside[0]} is out of bounds for axis 0 "
+                             f"with size {n}")
         row = width * self.dtype.itemsize
         step = max(_READ_BYTES // row, 1)
-        out = np.empty((len(rows), width), self.dtype)
-        starts = (self.offset + rows * row).tolist()
+        out = np.empty((rows.size, width), self.dtype)
+        starts = (self.offset + rows.reshape(-1).astype(np.int64) % n
+                  * row).tolist()
         lo = 0
-        for hi in range(1, len(rows) + 1):
-            if (hi < len(rows) and starts[hi] == starts[hi - 1] + row
+        for hi in range(1, len(starts) + 1):
+            if (hi < len(starts) and starts[hi] == starts[hi - 1] + row
                     and hi - lo < step):
                 continue
             if os.preadv(fd, [out[lo:hi]], starts[lo]) != (hi - lo) * row:
                 self._short(starts[lo])
             lo = hi
-        return out
+        return out.reshape(*rows.shape, width)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +494,6 @@ def read_text(path: str | Path) -> str:
         raise IoFailureError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise InvalidSpecError(f"{path}: {exc}") from exc
-
-
-def json_is(value, kinds) -> bool:
-    """isinstance for decoded JSON, where a bool must not pass as a number."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 # the JSON types each manifest key may take, checked where the key is present;
@@ -510,7 +561,7 @@ def load_bundle(path: str | Path) -> TaskBundle:
     for doc, kinds, prefix in ((manifest, _MANIFEST_TYPES, ""),
                                (manifest["files"], _FILES_TYPES, "files.")):
         for key, kind in kinds.items():
-            if key in doc and not json_is(doc[key], kind):
+            if key in doc and not of_kind(doc[key], kind):
                 raise MissingManifestError(f"manifest key {prefix}{key} has "
                                            f"the wrong type: {doc[key]!r}")
 

@@ -7,6 +7,9 @@ except ``score``'s Sinkhorn residual, in scientific notation.
 Every run echoes its effective configuration (a ``# config:`` line in csv
 format, a ``config`` object in json format); the echo excludes ``--threads``
 so output files are byte-identical at any parallelism.
+``synth-eval --metric hscore`` scores each source as its own target: one
+extractor is shared across a synthetic pool, so a source's own export
+carries its signal.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import (
 from .hscore import HScoreParams, hscore_segmentation
 from .otce import SinkhornParams
 from .pipeline import (
-    HScoreFeatures,
     Metric,
     NoMatchPolicy,
     SelectionConfig,
@@ -260,10 +262,14 @@ def cmd_synth_eval(args) -> int:
         raise UnknownTaskError(f"{args.target} not found under {args.dir}")
     target = by_id[args.target]
     target.require_features("synth-eval")
-    # shared-extractor mode: each source's own export carries its signal
-    cfg = _config(args, path=SelectionPath.BASELINE,
-                  hscore_features=HScoreFeatures.SOURCE)
-    report = select(bundles, target, cfg)
+    cfg = _config(args, path=SelectionPath.BASELINE)
+    scores = None
+    if cfg.metric is Metric.HSCORE:
+        pool = [b for b in bundles if b.task_id != target.task_id]
+        reports = map_sources(lambda b: score_sources([b], b, cfg)[0],
+                              pool, cfg.threads)
+        scores = {b.task_id: r.score for b, r in zip(pool, reports)}
+    report = select(bundles, target, cfg, scores=scores)
     metric_rank = report.final_ranking
     sources = [by_id[t] for t in report.subset2]
     pixels = probe_target(target)

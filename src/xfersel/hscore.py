@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import PixelFeatureSet
+from .bundle import PixelFeatureSet, check_fields
 from .errors import (
     DegenerateInputError,
     InvalidSpecError,
@@ -48,6 +48,7 @@ class HScoreParams:
     ridge: float = 1e-8
 
     def __post_init__(self):
+        check_fields(self)
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise InvalidSpecError("ridge must be >= 0 and finite")
 

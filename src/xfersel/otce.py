@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import (PixelFeatureSet, SubsampleSpec, flatten_pixels,
-                     same_channels)
+from .bundle import (PixelFeatureSet, SubsampleSpec, check_fields,
+                     flatten_pixels, same_channels)
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -33,6 +33,7 @@ class SinkhornParams:
     marginal_tol: float = 1e-9
 
     def __post_init__(self):
+        check_fields(self)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise InvalidSpecError("epsilon must be > 0 and finite")
         if not (math.isfinite(self.marginal_tol) and self.marginal_tol > 0):

@@ -3,7 +3,8 @@
 Guided path: keep sources matching the target's modality (Subset 1), then
 keep the RoI classes whose pooled label masks are most shape-similar to the
 target's (Subset 2), then rank the survivors with a transferability metric.
-Baseline path: rank the whole pool with the metric directly.
+Baseline path: rank the whole pool with the metric directly.  The H-score
+scores the feature export of the bundle passed as the target.
 """
 
 from __future__ import annotations
@@ -49,21 +50,6 @@ class NoMatchPolicy(str, enum.Enum):
     FALLBACK_ALL = "fallback-all"
 
 
-class HScoreFeatures(str, enum.Enum):
-    """Which bundle's feature export feeds the pixel-wise H-score.
-
-    TARGET evaluates the target bundle's feature map (the faithful pairwise
-    reading: that map should have been exported by the source's model, as
-    recorded in the manifest's extractor field); a bundle holds one map, so
-    it is scored once and every source gets that score.  SOURCE evaluates
-    each source's own export, the only per-source signal when one extractor
-    is shared across the pool, as in the synthetic benchmark.
-    """
-
-    TARGET = "target"
-    SOURCE = "source"
-
-
 @dataclass(frozen=True)
 class SelectionConfig:
     path: SelectionPath = SelectionPath.GUIDED
@@ -74,7 +60,6 @@ class SelectionConfig:
     hscore_params: HScoreParams = field(default_factory=HScoreParams)
     sinkhorn_params: SinkhornParams = field(default_factory=SinkhornParams)
     sampler: SubsampleSpec = field(default_factory=SubsampleSpec)
-    hscore_features: HScoreFeatures = HScoreFeatures.TARGET
     threads: int = 1
 
     def __post_init__(self):
@@ -193,8 +178,8 @@ def score_sources(sources: list[TaskBundle], target: TaskBundle,
 
     OTCE checks the target's export, then each source's, runs the memory
     estimate and flattens the target once for every pair.  The H-score
-    reads the export ``cfg.hscore_features`` names; the target's is checked
-    against each source's channels in pool order, then scored once.
+    checks the target's export, then each source's channel count in pool
+    order, and scores the target's export once for every source.
     """
     if cfg.metric is Metric.OTCE:
         tgt = target.require_features("otce")
@@ -203,10 +188,8 @@ def score_sources(sources: list[TaskBundle], target: TaskBundle,
         return map_sources(lambda fs: otce(fs, tgt, cfg.sampler,
                                            cfg.sinkhorn_params, pixels),
                            feats, cfg.threads)
-    if cfg.hscore_features is HScoreFeatures.SOURCE or not sources:
-        return map_sources(lambda b: hscore_segmentation(
-            b.require_features("hscore"), cfg.hscore_params),
-            sources, cfg.threads)
+    if not sources:
+        return []
     tgt = target.require_features("hscore")
     for b in sources:
         if b.features is not None:
@@ -232,7 +215,8 @@ def select(pool: list[TaskBundle], target: TaskBundle, cfg: SelectionConfig,
     dropped before any filtering.  ``scores`` injects externally computed
     per-source metric scores and bypasses metric computation, which lets the
     ranking/evaluation layer run on published score tables without any
-    trained models.  Per-source scoring is parallelized over
+    trained models, and ``synth-eval`` rank each source's own-export
+    H-score.  Per-source scoring is parallelized over
     ``cfg.threads``; results are assembled in pool order, so reports are
     byte-identical at any thread count.
     """

@@ -30,7 +30,7 @@ from .bundle import (
     TaskBundle,
     TaskDescriptor,
     flatten_pixels,
-    json_is,
+    of_kind,
     same_channels,
 )
 from .errors import InvalidSpecError
@@ -78,9 +78,9 @@ class SynthSpec:
             value = spec[f.name]
             if f.name == "signal_strengths":
                 ok = isinstance(value, list) and all(
-                    json_is(s, (int, float)) for s in value)
+                    of_kind(s, (int, float)) for s in value)
             else:
-                ok = json_is(value, int)
+                ok = of_kind(value, int)
             if not ok:
                 raise InvalidSpecError(f"{f.name} has the wrong type: {value!r}")
         if "signal_strengths" in spec:

@@ -62,6 +62,12 @@ def _masks(*shape):
      "cannot parse task name 'ET'"),
     (lambda: SubsampleSpec(seed=2**64), "InvalidSpec",
      "seed must fit in 64 unsigned bits"),
+    (lambda: SubsampleSpec(max_pixels=2.5), "InvalidSpec",
+     "max_pixels must be an integer, got 2.5"),
+    (lambda: SubsampleSpec(max_pixels=True), "InvalidSpec",
+     "max_pixels must be an integer, got True"),
+    (lambda: SubsampleSpec(seed=1.5), "InvalidSpec",
+     "seed must be an integer, got 1.5"),
     (lambda: _masks(8, 8), "ShapeMismatch",
      "label masks must be [n_samples, H, W], got ndim=2"),
     (lambda: _masks(3, 0, 8), "EmptyLabelSet", "task 'x' has empty masks"),
@@ -94,21 +100,38 @@ def _masks(*shape):
      "ShapeMismatch", "features must be [n_samples, H, W, C], got ndim=3"),
     (lambda: PixelFeatureSet("x", np.zeros((3, 8, 8, 0)), _masks(3, 8, 8)),
      "EmptyFeatureSet", "feature sets need at least one channel"),
+    *[(lambda values=values: PixelFeatureSet("x", values, _masks(1, 1, 2)),
+       "InvalidSpec", "task 'x' features must be real numbers")
+      for values in (np.full((1, 1, 2, 1), 2 + 1j), np.full((1, 1, 2, 1), None),
+                     [[[["a"], ["b"]]]], [[[[0.0], [0.0, 1.0]]]])],
+    (lambda: PixelFeatureSet("x", np.full((1, 1, 2, 1), 1e39),
+                             _masks(1, 1, 2)),
+     "NonFiniteFeature", "task 'x' features contain NaN/Inf"),
     (lambda: TaskBundle(TaskDescriptor.from_name("ED-1-T2"), _masks(3, 8, 8),
                         make_bundle(n=2).features),
      "ShapeMismatch", "bundle features are not aligned with bundle labels"),
-], ids=["one-part-name", "seed-over-64-bits", "masks-2d", "masks-empty-axis",
+], ids=["one-part-name", "seed-over-64-bits", "max-pixels-float",
+        "max-pixels-bool", "seed-float", "masks-2d", "masks-empty-axis",
         "positive-class-256", "positive-class-negative",
         "positive-class-float", "positive-class-str", "positive-class-bool",
         "masks-300", "masks-negative", "masks-fraction", "masks-nan",
         "masks-complex", "masks-complex-real", "masks-object-complex",
         "masks-object-none", "masks-str", "masks-ragged",
-        "features-3d",
-        "features-no-channel", "features-misaligned"])
+        "features-3d", "features-no-channel", "features-complex",
+        "features-object", "features-str", "features-ragged",
+        "features-past-float32", "features-misaligned"])
 def test_spec_guards(call, code, detail):
     with pytest.raises(XferselError) as info:
         call()
     assert (info.value.code, info.value.detail) == (code, detail)
+
+
+def test_numpy_integers_sample():
+    spec = SubsampleSpec(max_pixels=np.int64(5), seed=np.uint64(7))
+    got = flatten_pixels(make_bundle(n=1, h=4, w=4, c=2).features, spec)
+    want = flatten_pixels(make_bundle(n=1, h=4, w=4, c=2).features,
+                          SubsampleSpec(max_pixels=5, seed=7))
+    assert got[0].tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize("label", [0, 2, 255, np.uint8(2), np.int64(255)],
@@ -486,3 +509,19 @@ class TestFlattenPixels:
         got, want = (fs.pixel_rows(rows) for fs in (loaded.features,
                                                      b.features))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row", [-1, -32, 31, 32, -33])
+    def test_rows_read_from_disk_index_like_an_array(self, tmp_path, row):
+        # 32 rows: a negative row counts from the end, and a row outside
+        # -32..31 is numpy's IndexError, not header bytes or a short read
+        b = make_bundle(n=2, h=4, w=4, c=3)
+        write_bundle(b, tmp_path / "b")
+        loaded = load_bundle(tmp_path / "b")
+        got = []
+        for fs in (loaded.features, b.features):
+            try:
+                got.append(fs.pixel_rows(np.array([row])).tobytes())
+            except IndexError as exc:
+                got.append(str(exc))
+        assert got[0] == got[1]
+        assert isinstance(got[0], bytes) == (-32 <= row < 32)

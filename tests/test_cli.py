@@ -352,8 +352,9 @@ class TestSynthCmds:
 
     def test_synth_eval_hscore_scores_match_select(self, tmp_path, capsys):
         from xfersel.bundle import load_bundle
-        from xfersel.pipeline import (HScoreFeatures, Metric, SelectionConfig,
-                                      SelectionPath, select)
+        from xfersel.hscore import HScoreParams, hscore_segmentation
+        from xfersel.pipeline import (Metric, SelectionConfig, SelectionPath,
+                                      select)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(SMALL_SPEC))
         run(capsys, "--seed", "3", "synth", "--spec", str(spec_path),
@@ -366,10 +367,12 @@ class TestSynthCmds:
         assert code == 0
         printed = {c["task_id"]: c["metric_score"]
                    for c in json.loads(out)["result"]["comparison"]}
+        # one extractor is shared, so each source's own export is scored
+        own = {b.task_id: hscore_segmentation(b.features, HScoreParams()).score
+               for b in bundles[1:]}
         cfg = SelectionConfig(path=SelectionPath.BASELINE,
-                              metric=Metric.HSCORE,
-                              hscore_features=HScoreFeatures.SOURCE)
-        report = select(bundles, target, cfg)
+                              metric=Metric.HSCORE)
+        report = select(bundles, target, cfg, scores=own)
         assert printed == {t: round(s, 6)
                            for t, _, s in report.per_source_scores}
         assert target.task_id not in printed
@@ -831,8 +834,8 @@ def test_select_loads_each_bundle_once(tmp_path, capsys, monkeypatch):
 
 # printed at the parent of the one target H-score per pool
 GOLDEN_SELECT_HSCORE = """\
-# config: {"command": "select", "hscore_features": "target", \
-"hscore_params": {"ridge": 1e-08}, "metric": "hscore", \
+# config: {"command": "select", "hscore_params": {"ridge": 1e-08}, \
+"metric": "hscore", \
 "no_modality_match_policy": "error", "path": "baseline", "roi_keep_classes": 1, \
 "sampler": {"max_pixels": 4096, "seed": 42}, "scores_file": null, \
 "seed": 42, "sinkhorn_params": {"epsilon": 0.1, "marginal_tol": 1e-09, \
@@ -878,8 +881,8 @@ def test_select_hscore_scores_the_target_once(tmp_path, capsys, monkeypatch,
 
 # printed by the solver before its N x N steps ran in row blocks
 GOLDEN_SELECT_OTCE = """\
-# config: {"command": "select", "hscore_features": "target", \
-"hscore_params": {"ridge": 1e-08}, "metric": "otce", \
+# config: {"command": "select", "hscore_params": {"ridge": 1e-08}, \
+"metric": "otce", \
 "no_modality_match_policy": "error", "path": "baseline", "roi_keep_classes": 1, \
 "sampler": {"max_pixels": 256, "seed": 42}, "scores_file": null, \
 "seed": 42, "sinkhorn_params": {"epsilon": 0.1, "marginal_tol": 1e-09, \
@@ -1124,7 +1127,6 @@ target,synth-05-s1.00
 {
   "config": {
     "command": "select",
-    "hscore_features": "target",
     "hscore_params": {
       "ridge": 1e-08
     },
@@ -1242,7 +1244,6 @@ def test_matrix_golden_output(tmp_path, capsys, monkeypatch, name, argv):
 GOLDEN_SELECT_REPORT = """\
 {
   "config": {
-    "hscore_features": "target",
     "hscore_params": {
       "ridge": 1e-08
     },

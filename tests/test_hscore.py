@@ -107,6 +107,16 @@ def test_classification_input_guards(features, labels, detail):
     assert (info.value.code, info.value.detail) == ("ShapeMismatch", detail)
 
 
+@pytest.mark.parametrize("ridge, detail", [
+    (None, "ridge must be a real number, got None"),
+    (False, "ridge must be a real number, got False"),
+    (-1.0, "ridge must be >= 0 and finite")], ids=["none", "bool", "negative"])
+def test_ridge_guard(ridge, detail):
+    with pytest.raises(XferselError) as info:
+        HScoreParams(ridge=ridge)
+    assert (info.value.code, info.value.detail) == ("InvalidSpec", detail)
+
+
 class TestSegmentation:
     def test_constant_labels_everywhere(self):
         rng = np.random.Generator(np.random.Philox(12))

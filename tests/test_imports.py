@@ -12,7 +12,9 @@ a dunder.  ``pipeline`` and ``cli`` hold the package's glue, which the
 package itself calls, so a public module-level function of theirs that no
 module reads is a helper a merge left behind.  Which label value is a
 task's RoI is decided once, by ``LabelMaskSet.foreground``, so no module
-but ``bundle`` reads a ``.positive_class`` attribute.
+but ``bundle`` reads a ``.positive_class`` attribute.  Every
+``SelectionConfig`` field is read as an attribute somewhere outside the
+class's own body: a knob that only the config echo reads steers nothing.
 """
 
 import ast
@@ -27,6 +29,9 @@ GLUE = ("pipeline", "cli")
 
 # the one module that may read a label set's positive class
 FOREGROUND_RULE = "bundle"
+
+# the config class each of whose fields some module must read
+CONFIG = "SelectionConfig"
 
 # (module, name) -> why the import stays although the module never reads it
 KEPT = {
@@ -174,3 +179,41 @@ def test_guard_sees_a_positive_class_read():
     rule = "def foreground(self): return self.masks == self.positive_class\n"
     assert _positive_class_reads({"m": stage, FOREGROUND_RULE: rule}) == \
         {"m:2"}
+
+
+def _unread_config_fields(sources: dict[str, str]) -> set[str]:
+    """Fields of ``CONFIG`` that no source reads as an attribute outside
+    the class's own body; a constructor keyword is no read."""
+    fields, read = set(), set()
+    for text in sources.values():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == CONFIG:
+                fields |= {f.target.id for f in node.body
+                           if isinstance(f, ast.AnnAssign)}
+        read |= {n.attr for node in tree.body
+                 if not (isinstance(node, ast.ClassDef)
+                         and node.name == CONFIG)
+                 for n in ast.walk(node)
+                 if isinstance(n, ast.Attribute)
+                 and not isinstance(n.ctx, ast.Store)}
+    return fields - read
+
+
+def test_every_config_field_is_read():
+    unread = _unread_config_fields(
+        {str(p.relative_to(PACKAGE).with_suffix("")): p.read_text()
+         for p in sorted(PACKAGE.rglob("*.py"))})
+    assert not unread, f"{CONFIG} fields nothing reads: {sorted(unread)}"
+
+
+def test_guard_sees_an_unread_config_field():
+    config = (f"class {CONFIG}:\n"
+              "    used: int = 1\n"
+              "    echoed: int = 2\n"
+              "    passed: int = 3\n"
+              "    def to_dict(self): return self.echoed\n")
+    caller = (f"cfg = {CONFIG}(passed=4)\n"
+              "passed = cfg.used\n")
+    assert _unread_config_fields({"m": config, "n": caller}) == \
+        {"echoed", "passed"}

@@ -476,6 +476,12 @@ def _plan(n_s, n_t):
      "marginal_tol must be > 0 and finite"),
     (lambda: SinkhornParams(max_iters=0), "InvalidSpec",
      "max_iters must be >= 1"),
+    (lambda: SinkhornParams(epsilon="0.1"), "InvalidSpec",
+     "epsilon must be a real number, got '0.1'"),
+    (lambda: SinkhornParams(max_iters=2.5), "InvalidSpec",
+     "max_iters must be an integer, got 2.5"),
+    (lambda: SinkhornParams(marginal_tol=None), "InvalidSpec",
+     "marginal_tol must be a real number, got None"),
     (lambda: cost_matrix(np.ones(3), np.ones((2, 3))), "DimensionMismatch",
      "feature lists must be 2-D [N, C]"),
     (lambda: cost_matrix(np.ones((0, 3)), np.ones((2, 3))),
@@ -485,6 +491,7 @@ def _plan(n_s, n_t):
     (lambda: joint_label_distribution(_plan(2, 3), [0, 1], [0, 1]),
      "LengthMismatch", "2 target labels for 3 coupling columns"),
 ], ids=["marginal-tol-0", "marginal-tol-negative", "max-iters-0",
+        "epsilon-str", "max-iters-float", "marginal-tol-none",
         "cost-1d", "cost-empty", "sinkhorn-1d", "joint-target-labels"])
 def test_input_guards(call, code, detail):
     with pytest.raises(XferselError) as info:

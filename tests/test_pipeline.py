@@ -12,9 +12,9 @@ from xfersel.bundle import (
     SubsampleSpec,
     TaskBundle,
     TaskDescriptor,
-    load_bundle,
     write_bundle,
 )
+from xfersel.cli import main
 from xfersel.errors import (
     InvalidSpecError,
     MissingFeaturesError,
@@ -25,7 +25,6 @@ from xfersel.errors import (
 from xfersel.hscore import HScoreParams, hscore_segmentation
 from xfersel.otce import SinkhornParams, otce
 from xfersel.pipeline import (
-    HScoreFeatures,
     Metric,
     NoMatchPolicy,
     SelectionConfig,
@@ -316,13 +315,14 @@ class TestScorePair:
         assert score_sources([self.source], self.target, cfg) == \
             [otce(self.source.features, self.target.features, sampler, params)]
 
-    @pytest.mark.parametrize("side", list(HScoreFeatures))
+    @pytest.mark.parametrize("side", ["source", "target"])
     def test_hscore_report_is_the_direct_call(self, side):
+        # the bundle passed as the target is the export scored; synth-eval
+        # passes each source as its own target
         params = HScoreParams(ridge=1e-3)
-        cfg = SelectionConfig(metric=Metric.HSCORE, hscore_params=params,
-                              hscore_features=side)
-        bundle = self.target if side is HScoreFeatures.TARGET else self.source
-        assert score_sources([self.source], self.target, cfg) == \
+        cfg = SelectionConfig(metric=Metric.HSCORE, hscore_params=params)
+        bundle = getattr(self, side)
+        assert score_sources([self.source], bundle, cfg) == \
             [hscore_segmentation(bundle.features, params)]
 
 
@@ -336,7 +336,7 @@ class TestScoreSources:
         def run(pool, threads):
             return score_sources(pool, self.target, SelectionConfig(
                 metric=metric, sampler=SubsampleSpec(max_pixels=20, seed=5),
-                hscore_features=HScoreFeatures.SOURCE, threads=threads))
+                threads=threads))
         pairs = [rep for b in self.pool for rep in run([b], 1)]
         assert run(self.pool, 1) == run(self.pool, 3) == pairs
 
@@ -365,32 +365,34 @@ class TestScoreSources:
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_hscore_memory_does_not_grow_with_the_pool(tmp_path, threads):
-    # each source's 1 MiB export is read while it is scored and then freed,
-    # so six sources peak no higher than one source on each worker
+def test_hscore_memory_does_not_grow_with_the_pool(tmp_path, capsys,
+                                                   threads):
+    # synth-eval scores each source's 1 MiB export while it reads it and
+    # then frees it, so six sources peak no higher than one source on each
+    # worker
     payload = 8 * 32 * 32 * 32 * 4
-    pool = []
-    for i in range(6):
-        write_bundle(make_bundle(f"ED-{i}-T2", n=8, h=32, w=32, c=32,
-                                 seed=i), tmp_path / str(i))
-        pool.append(load_bundle(tmp_path / str(i)))
-    target = make_bundle("ET-9-T2", n=8, h=32, w=32, c=1, seed=9)
+    target = make_bundle("ET-9-T2", n=1, h=8, w=8, c=32, seed=9)
+    for pool, size in (("one", 1), ("six", 6)):
+        write_bundle(target, tmp_path / pool / target.task_id)
+        for i in range(size):
+            write_bundle(make_bundle(f"ED-{i}-T2", n=8, h=32, w=32, c=32,
+                                     seed=i), tmp_path / pool / str(i))
 
-    def peak(sources, threads):
-        cfg = SelectionConfig(path=SelectionPath.BASELINE,
-                              metric=Metric.HSCORE,
-                              hscore_features=HScoreFeatures.SOURCE,
-                              threads=threads)
+    def peak(pool, threads):
+        argv = ["--threads", str(threads), "synth-eval", "--dir",
+                str(tmp_path / pool), "--target", target.task_id,
+                "--metric", "hscore"]
         tracemalloc.start()
         try:
-            select(sources, target, cfg)
+            assert main(argv) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            capsys.readouterr()
 
-    one = peak([load_bundle(tmp_path / "0")], 1)
+    one = peak("one", 1)
     assert one > payload
-    assert peak(pool, threads) <= threads * one + payload / 4
+    assert peak("six", threads) <= threads * one + payload / 4
 
 
 class TestMapSources:
