@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import numbers
 import os
 import struct
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,6 +102,7 @@ class TaskDescriptor:
     partition: str | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if not (self.task_id and self.task_id.isprintable()):
             raise InvalidSpecError("task_id must be non-empty printable text")
         object.__setattr__(self, "modality", canonical_modality(self.modality))
@@ -279,27 +282,39 @@ def of_kind(value, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-# what a parameter field takes, and the type it is stored as, by its
-# annotation (a string, as every module here postpones annotations)
-_FIELD_KINDS = {"int": (numbers.Integral, int, "an integer"),
-                "float": (numbers.Real, float, "a real number")}
+# each annotation with a rule of its own: what it takes, what each of its
+# items takes, what it is stored as and how an error names it; any other
+# annotation takes an instance of itself, kept as it is
+_RULES = {int: (numbers.Integral, None, int, "an integer"),
+          float: (numbers.Real, None, float, "a real number"),
+          tuple[float, ...]: ((list, tuple), numbers.Real, tuple,
+                              "a list or tuple of real numbers")}
+# a dataclass's annotations, resolved once per class
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def check_fields(params) -> None:
-    """Store each field of the parameter dataclass ``params`` as its
-    annotated type: an ``int`` field takes Python or numpy integers and a
-    ``float`` field real numbers, never a bool.  Anything else, or an
-    integer past the float range, is ``InvalidSpec``."""
+    """Check each field of the dataclass ``params`` by its annotation.  An
+    ``int`` takes Python or numpy integers and a ``float`` real numbers,
+    each stored as its type; a ``tuple[float, ...]`` takes a list or tuple
+    of real numbers, stored as a tuple of them; none takes a bool.  Any
+    other annotation takes an instance of it: an enum a member, ``str |
+    None`` text or None.  Anything else, or an integer past the float
+    range, is ``InvalidSpec: <field> must be <what>, got <value>``."""
+    hints = _type_hints(type(params))
     for f in dataclasses.fields(params):
-        kinds, cast, name = _FIELD_KINDS[f.type]
-        value = getattr(params, f.name)
-        wrong = InvalidSpecError(f"{f.name} must be {name}, got {value!r}")
-        if not of_kind(value, kinds):
-            raise wrong
+        hint, value = hints[f.name], getattr(params, f.name)
+        kinds, items, cast, what = _RULES.get(hint) or (hint, None, None, None)
         try:
-            object.__setattr__(params, f.name, cast(value))
+            ok = of_kind(value, kinds) and (
+                items is None or all(of_kind(v, items) for v in value))
+            if ok and cast:
+                object.__setattr__(params, f.name, cast(value))
         except OverflowError:           # an integer past the float range
-            raise wrong from None
+            ok = False
+        if not ok:
+            what = what or f"of type {getattr(hint, '__name__', hint)}"
+            raise InvalidSpecError(f"{f.name} must be {what}, got {value!r}")
 
 
 def same_channels(a: int, b: int) -> None:

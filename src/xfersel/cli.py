@@ -242,8 +242,10 @@ def cmd_synth(args) -> int:
             raise InvalidSpecError(f"{args.spec}: {exc}") from exc
         if not isinstance(spec_dict, dict):
             raise InvalidSpecError(f"{args.spec}: expected a JSON object")
-    spec_dict.setdefault("seed", args.seed)
-    spec = SynthSpec.from_dict(spec_dict)
+    try:
+        spec = SynthSpec(**{"seed": args.seed, **spec_dict})
+    except TypeError as exc:            # a key that names no SynthSpec field
+        raise InvalidSpecError(str(exc)) from exc
     bundles = generate_tasks(spec)
     out = Path(args.out)
     for b in bundles:

@@ -21,6 +21,7 @@ from .bundle import (
     SubsampleSpec,
     TaskBundle,
     TaskDescriptor,
+    check_fields,
     same_channels,
 )
 from .errors import (
@@ -63,6 +64,7 @@ class SelectionConfig:
     threads: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         if self.top_k < 1:
             raise InvalidSpecError("top_k must be >= 1")
         if self.roi_keep_classes < 1:
@@ -179,8 +181,11 @@ def score_sources(sources: list[TaskBundle], target: TaskBundle,
     OTCE checks the target's export, then each source's, runs the memory
     estimate and flattens the target once for every pair.  The H-score
     checks the target's export, then each source's channel count in pool
-    order, and scores the target's export once for every source.
+    order, and scores the target's export once for every source.  An empty
+    pool is ``[]`` under either metric, and nothing is checked.
     """
+    if not sources:
+        return []
     if cfg.metric is Metric.OTCE:
         tgt = target.require_features("otce")
         feats = [b.require_features("otce") for b in sources]
@@ -188,8 +193,6 @@ def score_sources(sources: list[TaskBundle], target: TaskBundle,
         return map_sources(lambda fs: otce(fs, tgt, cfg.sampler,
                                            cfg.sinkhorn_params, pixels),
                            feats, cfg.threads)
-    if not sources:
-        return []
     tgt = target.require_features("hscore")
     for b in sources:
         if b.features is not None:

@@ -18,7 +18,7 @@ frozen-encoder/retrained-head structure of real transfer experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -29,8 +29,8 @@ from .bundle import (
     SubsampleSpec,
     TaskBundle,
     TaskDescriptor,
+    check_fields,
     flatten_pixels,
-    of_kind,
     same_channels,
 )
 from .errors import InvalidSpecError
@@ -58,6 +58,7 @@ class SynthSpec:
     seed: int = 42
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_tasks < 1 or self.n_samples < 1:
             raise InvalidSpecError("n_tasks and n_samples must be >= 1")
         if self.height < 2 or self.width < 2 or self.channels < 1:
@@ -68,27 +69,6 @@ class SynthSpec:
                 f"got {len(self.signal_strengths)}")
         if any(not 0.0 <= s <= 1.0 for s in self.signal_strengths):
             raise InvalidSpecError("signal strengths must lie in [0, 1]")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        spec = dict(d)
-        for f in fields(cls):
-            if f.name not in spec:
-                continue
-            value = spec[f.name]
-            if f.name == "signal_strengths":
-                ok = isinstance(value, list) and all(
-                    of_kind(s, (int, float)) for s in value)
-            else:
-                ok = of_kind(value, int)
-            if not ok:
-                raise InvalidSpecError(f"{f.name} has the wrong type: {value!r}")
-        if "signal_strengths" in spec:
-            spec["signal_strengths"] = tuple(spec["signal_strengths"])
-        try:
-            return cls(**spec)
-        except TypeError as exc:
-            raise InvalidSpecError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

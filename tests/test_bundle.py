@@ -68,6 +68,22 @@ def _masks(*shape):
      "max_pixels must be an integer, got True"),
     (lambda: SubsampleSpec(seed=1.5), "InvalidSpec",
      "seed must be an integer, got 1.5"),
+    (lambda: TaskDescriptor(task_id=5, roi_class="ED", modality="T2"),
+     "InvalidSpec", "task_id must be of type str, got 5"),
+    (lambda: TaskDescriptor(task_id="x", roi_class="ED", modality=5),
+     "InvalidSpec", "modality must be of type str, got 5"),
+    (lambda: TaskDescriptor(task_id="x", roi_class="ED", modality="T2",
+                            partition=3),
+     "InvalidSpec", "partition must be of type str | None, got 3"),
+    (lambda: SynthSpec(seed=1.5), "InvalidSpec",
+     "seed must be an integer, got 1.5"),
+    (lambda: SynthSpec(n_tasks=2.5), "InvalidSpec",
+     "n_tasks must be an integer, got 2.5"),
+    (lambda: SynthSpec(channels=True), "InvalidSpec",
+     "channels must be an integer, got True"),
+    (lambda: SynthSpec(n_tasks=2, signal_strengths=[True, 0.5]),
+     "InvalidSpec", "signal_strengths must be a list or tuple of real "
+     "numbers, got [True, 0.5]"),
     (lambda: _masks(8, 8), "ShapeMismatch",
      "label masks must be [n_samples, H, W], got ndim=2"),
     (lambda: _masks(3, 0, 8), "EmptyLabelSet", "task 'x' has empty masks"),
@@ -111,7 +127,10 @@ def _masks(*shape):
                         make_bundle(n=2).features),
      "ShapeMismatch", "bundle features are not aligned with bundle labels"),
 ], ids=["one-part-name", "seed-over-64-bits", "max-pixels-float",
-        "max-pixels-bool", "seed-float", "masks-2d", "masks-empty-axis",
+        "max-pixels-bool", "seed-float", "descriptor-task-id-int",
+        "descriptor-modality-int", "descriptor-partition-int",
+        "synth-seed-float", "synth-n-tasks-float", "synth-channels-bool",
+        "synth-strengths-bool", "masks-2d", "masks-empty-axis",
         "positive-class-256", "positive-class-negative",
         "positive-class-float", "positive-class-str", "positive-class-bool",
         "masks-300", "masks-negative", "masks-fraction", "masks-nan",

@@ -616,6 +616,8 @@ def _usage(*argv):
     (_synth_spec(b'{"signal_strengths": 5}'), "InvalidSpec",
      "signal_strengths"),
     (_synth_spec(b'{"n_tasks": "x"}'), "InvalidSpec", "n_tasks"),
+    (_synth_spec(b'{"n_tasks": 1, "signal_strengths": [0.5], "colour": 1}'),
+     "InvalidSpec", "unexpected keyword argument 'colour'"),
     (_synth_spec(b'{"n_tasks": 1\xff}'), "InvalidSpec", "spec.json"),
     (_synth_spec(b'{"n_tasks": 1, "n_samples": 1, "height": 100000000, '
                  b'"width": 100000000, "channels": 1, '
@@ -687,6 +689,7 @@ def _usage(*argv):
         "ranking-missing-cell", "ranking-duplicate-id",
         "env-seed", "roi-sim-pairs-0", "synth-spec-not-object",
         "synth-spec-strengths-not-list", "synth-spec-field-type",
+        "synth-spec-unknown-key",
         "synth-spec-not-utf8", "synth-spec-huge-dims", "synth-spec-no-tasks",
         "manifest-modality-int",
         "manifest-modality-null", "manifest-files-str",

@@ -15,6 +15,9 @@ task's RoI is decided once, by ``LabelMaskSet.foreground``, so no module
 but ``bundle`` reads a ``.positive_class`` attribute.  Every
 ``SelectionConfig`` field is read as an attribute somewhere outside the
 class's own body: a knob that only the config echo reads steers nothing.
+Every frozen dataclass with a ``__post_init__`` begins it with
+``check_fields(self)``, so one rule checks each field against its
+annotation, unless ``UNCHECKED`` names the class and why.
 """
 
 import ast
@@ -32,6 +35,13 @@ FOREGROUND_RULE = "bundle"
 
 # the config class each of whose fields some module must read
 CONFIG = "SelectionConfig"
+
+# frozen dataclass -> why its __post_init__ does not begin with check_fields
+UNCHECKED = {
+    "LabelMaskSet": "its masks are any array-like, which _real_array checks",
+    "TaskBundle": "a bundle without labels must still reach the RoI "
+                  "filter's MissingLabels",
+}
 
 # (module, name) -> why the import stays although the module never reads it
 KEPT = {
@@ -217,3 +227,52 @@ def test_guard_sees_an_unread_config_field():
               "passed = cfg.used\n")
     assert _unread_config_fields({"m": config, "n": caller}) == \
         {"echoed", "passed"}
+
+
+def _unchecked_dataclasses(sources: dict[str, str]) -> set[str]:
+    """Names of the ``@dataclass(frozen=True)`` classes whose
+    ``__post_init__`` does not begin with ``check_fields(self)``."""
+    return {node.name for text in sources.values()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef)
+            and "dataclass(frozen=True)" in map(ast.unparse,
+                                                node.decorator_list)
+            for post in node.body
+            if isinstance(post, ast.FunctionDef)
+            and post.name == "__post_init__"
+            and ast.unparse(post.body[0]) != "check_fields(self)"}
+
+
+def test_every_frozen_dataclass_checks_its_fields():
+    unchecked = _unchecked_dataclasses(
+        {str(p.relative_to(PACKAGE).with_suffix("")): p.read_text()
+         for p in sorted(PACKAGE.rglob("*.py"))})
+    assert unchecked == set(UNCHECKED), \
+        f"check_fields(self) does not begin __post_init__ of: " \
+        f"{sorted(unchecked - set(UNCHECKED))}; no longer unchecked: " \
+        f"{sorted(set(UNCHECKED) - unchecked)}"
+
+
+def test_guard_sees_an_unchecked_dataclass():
+    source = ("@dataclass(frozen=True)\n"
+              "class Checked:\n"
+              "    def __post_init__(self):\n"
+              "        check_fields(self)\n"
+              "        validate(self)\n"
+              "@dataclass(frozen=True)\n"
+              "class Late:\n"
+              "    def __post_init__(self):\n"
+              "        validate(self)\n"
+              "        check_fields(self)\n"
+              "@dataclass(frozen=True)\n"
+              "class Unchecked:\n"
+              "    def __post_init__(self):\n"
+              "        validate(self)\n"
+              "@dataclass(frozen=True)\n"
+              "class Plain:\n"
+              "    x: int = 1\n"
+              "@dataclass\n"
+              "class Mutable:\n"
+              "    def __post_init__(self):\n"
+              "        validate(self)\n")
+    assert _unchecked_dataclasses({"m": source}) == {"Late", "Unchecked"}

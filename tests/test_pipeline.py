@@ -50,6 +50,18 @@ POOL_16 = [r["task_id"] for r in fixtures.reference_table("ET-22-T2")]
 @pytest.mark.parametrize("call, code, detail", [
     (lambda: SelectionConfig(roi_keep_classes=0), "InvalidSpec",
      "roi_keep_classes must be >= 1"),
+    (lambda: SelectionConfig(path="guided"), "InvalidSpec",
+     "path must be of type SelectionPath, got 'guided'"),
+    (lambda: SelectionConfig(metric="otce"), "InvalidSpec",
+     "metric must be of type Metric, got 'otce'"),
+    (lambda: SelectionConfig(top_k=1.5), "InvalidSpec",
+     "top_k must be an integer, got 1.5"),
+    (lambda: SelectionConfig(roi_keep_classes="2"), "InvalidSpec",
+     "roi_keep_classes must be an integer, got '2'"),
+    (lambda: SelectionConfig(threads=2.5), "InvalidSpec",
+     "threads must be an integer, got 2.5"),
+    (lambda: SelectionConfig(sampler=None), "InvalidSpec",
+     "sampler must be of type SubsampleSpec, got None"),
     (lambda: roi_filter([], make_bundle("ET-9-T2"), SelectionConfig()),
      "NoCompatibleSource", "subset 1 is empty"),
     (lambda: roi_filter([TaskBundle(TaskDescriptor.from_name("ED-1-T2"),
@@ -60,7 +72,9 @@ POOL_16 = [r["task_id"] for r in fixtures.reference_table("ET-22-T2")]
      "no reference table for 'ET-1-T1'; have ('ET-22-T2', 'ET-20-T1')"),
     (lambda: fixtures.reference_scores("ET-22-T2", "ssim"), "InvalidSpec",
      "unknown column 'ssim'; have ('dice', 'hscore', 'otce')"),
-], ids=["roi-keep-0", "roi-filter-empty", "roi-filter-no-labels",
+], ids=["roi-keep-0", "path-str", "metric-str", "top-k-float",
+        "roi-keep-str", "threads-float", "sampler-none", "roi-filter-empty",
+        "roi-filter-no-labels",
         "reference-unknown-target", "reference-unknown-column"])
 def test_input_guards(call, code, detail):
     with pytest.raises(XferselError) as info:
@@ -339,6 +353,11 @@ class TestScoreSources:
                 threads=threads))
         pairs = [rep for b in self.pool for rep in run([b], 1)]
         assert run(self.pool, 1) == run(self.pool, 3) == pairs
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_empty_pool_scores_nothing(self, metric):
+        cfg = SelectionConfig(metric=metric)
+        assert score_sources([], self.target, cfg) == []
 
     def test_otce_checks_the_target_then_the_sources_in_pool_order(self):
         bare = [TaskBundle(b.descriptor, b.labels, None)

@@ -44,6 +44,11 @@ class TestGeneration:
         with pytest.raises(InvalidSpecError):
             SynthSpec(n_tasks=1, signal_strengths=(1.5,))
 
+    def test_strengths_stored_as_a_tuple_of_the_given_numbers(self):
+        spec = SynthSpec(n_tasks=2, signal_strengths=[0, 1])
+        assert type(spec.signal_strengths) is tuple
+        assert [type(s) for s in spec.signal_strengths] == [int, int]
+
     def test_zero_signal_features_independent_of_labels(self):
         b = generate_tasks(small_spec([0.0]))[0]
         fg = b.features.features[b.labels.masks > 0]
