@@ -511,47 +511,85 @@ def read_text(path: str | Path) -> str:
         raise InvalidSpecError(f"{path}: {exc}") from exc
 
 
-# the JSON types each manifest key may take, checked where the key is present;
-# "files" is checked before its entries
-_MANIFEST_TYPES = {
-    "task_id": str, "roi_class": str, "modality": str, "dataset": str | None,
-    "partition": str | None, "n_samples": int, "height": int, "width": int,
-    "channels": int | None, "positive_class": int, "extractor": str | None,
-    "files": dict,
-}
-_FILES_TYPES = {"labels": str, "features": str}
+@dataclass(frozen=True)
+class ManifestFiles:
+    """The manifest's ``files`` object: file names in the bundle directory."""
+
+    labels: str = LABELS_NAME
+    features: str | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Manifest:
+    """The one definition of ``manifest.json``: each field is a key, in
+    the order keys are checked, annotated with its JSON type; a key without
+    a default is required.  The writer leaves out ``files.features`` when
+    it is None."""
+
+    task_id: str
+    roi_class: str
+    modality: str
+    dataset: str | None = None
+    partition: str | None = None
+    n_samples: int
+    height: int
+    width: int
+    channels: int | None = None
+    positive_class: int = 1
+    extractor: str | None = None
+    files: ManifestFiles
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def _from_json(cls, doc: dict, prefix: str = ""):
+    """``cls`` from the JSON object ``doc``, its unknown keys ignored; a
+    field annotated with a dataclass is built from its own object first.
+    A missing required key or a value of the wrong JSON type is
+    ``MissingManifest`` naming the dotted key."""
+    args, hints = {}, _type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key = prefix + f.name
+        if f.name not in doc:
+            if f.default is dataclasses.MISSING:
+                raise MissingManifestError(f"manifest misses key {key!r}")
+            continue
+        value = args[f.name] = doc[f.name]
+        if dataclasses.is_dataclass(hints[f.name]) and isinstance(value, dict):
+            args[f.name] = _from_json(hints[f.name], value, key + ".")
+    try:
+        return cls(**args)
+    except InvalidSpecError as exc:
+        raise MissingManifestError(f"manifest key {prefix}{exc.detail}") \
+            from exc
 
 
 def write_bundle(bundle: TaskBundle, path: str | Path) -> None:
     """Write a bundle directory; loading it back reproduces the bundle bit-exactly."""
     path = Path(path)
-    d = bundle.descriptor
-    manifest = {
-        "task_id": d.task_id,
-        "roi_class": d.roi_class,
-        "modality": d.modality,
-        "dataset": d.dataset,
-        "partition": d.partition,
-        "n_samples": bundle.labels.n_samples,
-        "height": bundle.labels.height,
-        "width": bundle.labels.width,
-        "channels": bundle.features.channels if bundle.features else None,
-        "positive_class": bundle.labels.positive_class,
-        "extractor": bundle.extractor,
-        "files": {"labels": LABELS_NAME},
-    }
-    if bundle.features is not None:
-        manifest["files"]["features"] = FEATURES_NAME
+    d, labels, features = bundle.descriptor, bundle.labels, bundle.features
+    manifest = dataclasses.asdict(Manifest(
+        task_id=d.task_id, roi_class=d.roi_class, modality=d.modality,
+        dataset=d.dataset, partition=d.partition, n_samples=labels.n_samples,
+        height=labels.height, width=labels.width,
+        channels=features.channels if features else None,
+        positive_class=labels.positive_class, extractor=bundle.extractor,
+        files=ManifestFiles(features=FEATURES_NAME if features else None)))
+    if features is None:
+        del manifest["files"]["features"]
     try:
         path.mkdir(parents=True, exist_ok=True)
         (path / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
-        _write_array(path / LABELS_NAME, LABELS_MAGIC, bundle.labels.masks,
-                     np.uint8)
-        if bundle.features is not None:
+        _write_array(path / LABELS_NAME, LABELS_MAGIC, labels.masks, np.uint8)
+        if features is not None:
             _write_array(path / FEATURES_NAME, FEATURES_MAGIC,
-                         bundle.features.features, _FEATURE_DTYPE)
+                         features.features, _FEATURE_DTYPE)
     except OSError as exc:
         raise IoFailureError(f"cannot write bundle to {path}: {exc}") from exc
 
@@ -559,61 +597,39 @@ def write_bundle(bundle: TaskBundle, path: str | Path) -> None:
 def load_bundle(path: str | Path) -> TaskBundle:
     """Load and eagerly validate a task bundle directory."""
     path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise MissingManifestError(f"no {MANIFEST_NAME} in {path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+        doc = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise MissingManifestError(f"unreadable manifest in {path}: {exc}") from exc
-    if not isinstance(manifest, dict):
+    if not isinstance(doc, dict):
         raise MissingManifestError(f"manifest in {path} is not a JSON object")
+    m = _from_json(Manifest, doc)
 
-    for key in ("task_id", "roi_class", "modality", "n_samples",
-                "height", "width", "files"):
-        if key not in manifest:
-            raise MissingManifestError(f"manifest misses key {key!r}")
-    for doc, kinds, prefix in ((manifest, _MANIFEST_TYPES, ""),
-                               (manifest["files"], _FILES_TYPES, "files.")):
-        for key, kind in kinds.items():
-            if key in doc and not of_kind(doc[key], kind):
-                raise MissingManifestError(f"manifest key {prefix}{key} has "
-                                           f"the wrong type: {doc[key]!r}")
-
-    descriptor = TaskDescriptor(
-        task_id=manifest["task_id"],
-        roi_class=manifest["roi_class"],
-        modality=manifest["modality"],
-        dataset=manifest.get("dataset") or "",
-        partition=manifest.get("partition"),
-    )
-
-    files = manifest["files"]
-    masks = _Payload.check(path / files.get("labels", LABELS_NAME), "labels",
-                           LABELS_MAGIC, 3, np.uint8)
-    declared = (manifest["n_samples"], manifest["height"], manifest["width"])
+    descriptor = TaskDescriptor(task_id=m.task_id, roi_class=m.roi_class,
+                                modality=m.modality, dataset=m.dataset or "",
+                                partition=m.partition)
+    masks = _Payload.check(path / m.files.labels, "labels", LABELS_MAGIC, 3,
+                           np.uint8)
+    declared = (m.n_samples, m.height, m.width)
     if masks.dims != declared:
         raise ShapeMismatchError(
             f"labels {masks.dims} disagree with manifest {declared}")
-
     labels = LabelMaskSet(task_id=descriptor.task_id, masks=masks.read(),
-                          positive_class=manifest.get("positive_class", 1))
+                          positive_class=m.positive_class)
 
     features = None
-    if "features" in files:
-        payload = _Payload.check(path / files["features"], "features",
+    if m.files.features is not None:
+        payload = _Payload.check(path / m.files.features, "features",
                                  FEATURES_MAGIC, 4, _FEATURE_DTYPE)
         channels = payload.dims[3]
-        if manifest.get("channels") is not None \
-                and channels != manifest["channels"]:
-            raise ShapeMismatchError(
-                f"features carry {channels} channels, manifest says "
-                f"{manifest['channels']}")
+        if m.channels is not None and channels != m.channels:
+            raise ShapeMismatchError(f"features carry {channels} channels, "
+                                     f"manifest says {m.channels}")
         features = PixelFeatureSet(task_id=descriptor.task_id,
                                    features=payload, aligned_labels=labels)
 
     return TaskBundle(descriptor=descriptor, labels=labels, features=features,
-                      extractor=manifest.get("extractor"))
+                      extractor=m.extractor)
 
 
 # ---------------------------------------------------------------------------

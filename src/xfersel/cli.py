@@ -22,6 +22,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bundle import (
+    MANIFEST_NAME,
     SubsampleSpec,
     TaskBundle,
     load_bundle,
@@ -144,7 +145,7 @@ def _load_source_bundles(sources_dir: str, loaded: dict[Path, TaskBundle]
     loaded = loaded or {}
     bundles = []
     for sub in sorted(p for p in root.iterdir() if p.is_dir()):
-        if (sub / "manifest.json").is_file():
+        if (sub / MANIFEST_NAME).is_file():
             bundles.append(loaded.get(sub.resolve()) or load_bundle(sub))
     if not bundles:
         raise IoFailureError(f"no bundles under {sources_dir}")
@@ -238,7 +239,7 @@ def cmd_synth(args) -> int:
     if args.spec:
         try:
             spec_dict = json.loads(read_text(args.spec))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidSpecError(f"{args.spec}: {exc}") from exc
         if not isinstance(spec_dict, dict):
             raise InvalidSpecError(f"{args.spec}: expected a JSON object")

@@ -69,6 +69,8 @@ class SelectionConfig:
             raise InvalidSpecError("top_k must be >= 1")
         if self.roi_keep_classes < 1:
             raise InvalidSpecError("roi_keep_classes must be >= 1")
+        if self.threads < 1:
+            raise InvalidSpecError("threads must be >= 1")
 
     def to_dict(self) -> dict:
         """Every field but ``threads``, which must not change the output."""

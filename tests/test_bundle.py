@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from xfersel import bundle as bundle_module
+from xfersel import fixtures
 from xfersel.bundle import (
     LabelMaskSet,
     PixelFeatureSet,
@@ -162,6 +164,16 @@ def test_integer_positive_class_accepted(label):
     np.testing.assert_array_equal(labels.foreground, masks == label)
 
 
+@pytest.mark.parametrize("label", [np.uint8(2), np.int64(255)], ids=repr)
+def test_numpy_positive_class_written_as_integer(tmp_path, label):
+    masks = np.array([[[0, 2], [255, 2]]], np.uint8)
+    write_bundle(TaskBundle(TaskDescriptor("x", "ED", "T2"),
+                            LabelMaskSet("x", masks, label)), tmp_path / "b")
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["positive_class"] == int(label)
+    assert load_bundle(tmp_path / "b").labels.positive_class == label
+
+
 @pytest.mark.parametrize("masks", [[[[0, 1], [255, 2]]],
                                    np.array([[[False, True], [True, False]]])],
                          ids=["python-int", "bool"])
@@ -169,6 +181,71 @@ def test_masks_that_cast_exactly_load(masks):
     labels = LabelMaskSet(task_id="x", masks=masks)
     assert labels.masks.dtype == np.uint8
     np.testing.assert_array_equal(labels.masks, masks)
+
+
+# the manifest.json text write_bundle writes, pinned byte for byte
+_SYNTH_MANIFEST = """{
+  "channels": 4,
+  "dataset": "synthetic",
+  "extractor": "synthetic",
+  "files": {
+    "features": "features.bin",
+    "labels": "labels.bin"
+  },
+  "height": 32,
+  "modality": "SIM",
+  "n_samples": 16,
+  "partition": "0",
+  "positive_class": 1,
+  "roi_class": "SYN",
+  "task_id": "synth-00-s0.00",
+  "width": 32
+}
+"""
+_LABELS_ONLY_MANIFEST = """{
+  "channels": null,
+  "dataset": "test",
+  "extractor": "test-extractor",
+  "files": {
+    "labels": "labels.bin"
+  },
+  "height": 8,
+  "modality": "T2",
+  "n_samples": 3,
+  "partition": "14",
+  "positive_class": 1,
+  "roi_class": "ED",
+  "task_id": "ED-14-T2",
+  "width": 8
+}
+"""
+_FETS_TARGET_MANIFEST = """{
+  "channels": null,
+  "dataset": "FeTS2021",
+  "extractor": null,
+  "files": {
+    "labels": "labels.bin"
+  },
+  "height": 32,
+  "modality": "T2",
+  "n_samples": 4,
+  "partition": "22",
+  "positive_class": 1,
+  "roi_class": "ET",
+  "task_id": "ET-22-T2",
+  "width": 32
+}
+"""
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: generate_tasks(SynthSpec())[0], _SYNTH_MANIFEST),
+    (lambda: make_bundle(with_features=False), _LABELS_ONLY_MANIFEST),
+    (lambda: fixtures.benchmark_pool("ET-22-T2")[1], _FETS_TARGET_MANIFEST),
+], ids=["synth-default", "labels-only", "fets-target"])
+def test_manifest_bytes_pinned(tmp_path, make, text):
+    write_bundle(make(), tmp_path / "b")
+    assert (tmp_path / "b" / "manifest.json").read_bytes() == text.encode()
 
 
 class TestBundleIo:
@@ -195,6 +272,28 @@ class TestBundleIo:
         assert not (tmp_path / "b" / "features.bin").exists()
         loaded = load_bundle(tmp_path / "b")
         assert loaded.features is None
+
+    def test_unknown_manifest_keys_ignored(self, tmp_path, bundle):
+        write_bundle(bundle, tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["colour"] = "blue"
+        manifest["files"]["thumbnail"] = "thumb.png"
+        path.write_text(json.dumps(manifest))
+        loaded = load_bundle(tmp_path / "b")
+        assert loaded.descriptor == bundle.descriptor
+        assert loaded.extractor == bundle.extractor
+        np.testing.assert_array_equal(loaded.labels.masks, bundle.labels.masks)
+        np.testing.assert_array_equal(loaded.features.features,
+                                      bundle.features.features)
+
+    def test_null_features_file_loads_without_features(self, tmp_path):
+        write_bundle(make_bundle(with_features=False), tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["files"]["features"] = None
+        path.write_text(json.dumps(manifest))
+        assert load_bundle(tmp_path / "b").features is None
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "b").mkdir()

@@ -450,6 +450,23 @@ def _manifest_key(key, value):
     return _manifest(edit)
 
 
+def _manifest_without(key):
+    def edit(manifest):
+        del manifest[key]
+        return json.dumps(manifest).encode()
+    return _manifest(edit)
+
+
+def _no_manifest(tmp_path, monkeypatch):
+    (tmp_path / "b").mkdir()
+    return ["roi-sim", "--source", str(tmp_path / "b"),
+            "--target", str(tmp_path / "b")]
+
+
+# nested deeper than the JSON decoder recurses
+_DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
 def _select_sources(kind):
     # select --sources naming a file, or a directory holding no bundle
     def argv(tmp_path, monkeypatch):
@@ -625,6 +642,7 @@ def _usage(*argv):
      "InvalidSpec", "of available memory"),
     (_synth_spec(b'{"n_tasks": 0, "signal_strengths": []}'), "InvalidSpec",
      "n_tasks and n_samples must be >= 1"),
+    (_synth_spec(_DEEP_JSON), "InvalidSpec", "spec.json: "),
     (_manifest_key("modality", 5), "MissingManifest", "modality"),
     (_manifest_key("modality", None), "MissingManifest", "modality"),
     (_manifest_key("files", "x"), "MissingManifest", "files"),
@@ -658,6 +676,25 @@ def _usage(*argv):
     (_manifest(lambda m: b"null"), "MissingManifest", "not a JSON object"),
     (_manifest(lambda m: b"\xff" + json.dumps(m).encode()),
      "MissingManifest", "unreadable manifest"),
+    (_no_manifest, "MissingManifest", "manifest.json"),
+    (_manifest(lambda m: _DEEP_JSON), "MissingManifest",
+     "unreadable manifest in "),
+    (_manifest(lambda m: json.dumps({**m, "height": 8.0, "modality": 5})
+               .encode()), "MissingManifest", "manifest key modality "),
+    (_manifest_without("task_id"), "MissingManifest",
+     "manifest misses key 'task_id'"),
+    (_manifest_without("roi_class"), "MissingManifest",
+     "manifest misses key 'roi_class'"),
+    (_manifest_without("modality"), "MissingManifest",
+     "manifest misses key 'modality'"),
+    (_manifest_without("n_samples"), "MissingManifest",
+     "manifest misses key 'n_samples'"),
+    (_manifest_without("height"), "MissingManifest",
+     "manifest misses key 'height'"),
+    (_manifest_without("width"), "MissingManifest",
+     "manifest misses key 'width'"),
+    (_manifest_without("files"), "MissingManifest",
+     "manifest misses key 'files'"),
     (_hscore_ridge_zero("score"), "DegenerateInput", "singular at ridge 0"),
     (_hscore_ridge_zero("select"), "DegenerateInput", "singular at ridge 0"),
     (_usage("score", "--metric", "otce", "--source", "s", "--target", "t",
@@ -691,6 +728,7 @@ def _usage(*argv):
         "synth-spec-strengths-not-list", "synth-spec-field-type",
         "synth-spec-unknown-key",
         "synth-spec-not-utf8", "synth-spec-huge-dims", "synth-spec-no-tasks",
+        "synth-spec-deeply-nested",
         "manifest-modality-int",
         "manifest-modality-null", "manifest-files-str",
         "manifest-files-null", "manifest-files-labels-int",
@@ -702,6 +740,11 @@ def _usage(*argv):
         "manifest-task-id-newline",
         "manifest-roi-class-object", "manifest-height-float",
         "manifest-channels-str", "manifest-null", "manifest-not-utf8",
+        "manifest-file-missing", "manifest-deeply-nested",
+        "manifest-two-bad-keys",
+        *(f"manifest-without-{key}" for key in (
+            "task-id", "roi-class", "modality", "n-samples", "height",
+            "width", "files")),
         "score-hscore-ridge-0", "select-hscore-ridge-0",
         "usage-max-pixels-not-int", "usage-metric-missing",
         "usage-unknown-command", "scores-file-missing",

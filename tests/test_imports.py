@@ -12,9 +12,11 @@ a dunder.  ``pipeline`` and ``cli`` hold the package's glue, which the
 package itself calls, so a public module-level function of theirs that no
 module reads is a helper a merge left behind.  Which label value is a
 task's RoI is decided once, by ``LabelMaskSet.foreground``, so no module
-but ``bundle`` reads a ``.positive_class`` attribute.  Every
-``SelectionConfig`` field is read as an attribute somewhere outside the
-class's own body: a knob that only the config echo reads steers nothing.
+but ``bundle`` reads a ``.positive_class`` attribute.  Every field of
+``SelectionConfig``, ``Manifest`` and ``ManifestFiles`` is read as an
+attribute somewhere outside the class's own body: a knob that only the
+config echo reads steers nothing, and a manifest key that only the writer
+writes is never loaded.
 Every frozen dataclass with a ``__post_init__`` begins it with
 ``check_fields(self)``, so one rule checks each field against its
 annotation, unless ``UNCHECKED`` names the class and why.
@@ -33,8 +35,8 @@ GLUE = ("pipeline", "cli")
 # the one module that may read a label set's positive class
 FOREGROUND_RULE = "bundle"
 
-# the config class each of whose fields some module must read
-CONFIG = "SelectionConfig"
+# the classes each of whose fields some module must read
+CONFIGS = ("SelectionConfig", "Manifest", "ManifestFiles")
 
 # frozen dataclass -> why its __post_init__ does not begin with check_fields
 UNCHECKED = {
@@ -191,19 +193,19 @@ def test_guard_sees_a_positive_class_read():
         {"m:2"}
 
 
-def _unread_config_fields(sources: dict[str, str]) -> set[str]:
-    """Fields of ``CONFIG`` that no source reads as an attribute outside
-    the class's own body; a constructor keyword is no read."""
+def _unread_config_fields(sources: dict[str, str], config: str) -> set[str]:
+    """Fields of the class ``config`` that no source reads as an attribute
+    outside the class's own body; a constructor keyword is no read."""
     fields, read = set(), set()
     for text in sources.values():
         tree = ast.parse(text)
         for node in tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == CONFIG:
+            if isinstance(node, ast.ClassDef) and node.name == config:
                 fields |= {f.target.id for f in node.body
                            if isinstance(f, ast.AnnAssign)}
         read |= {n.attr for node in tree.body
                  if not (isinstance(node, ast.ClassDef)
-                         and node.name == CONFIG)
+                         and node.name == config)
                  for n in ast.walk(node)
                  if isinstance(n, ast.Attribute)
                  and not isinstance(n.ctx, ast.Store)}
@@ -211,32 +213,33 @@ def _unread_config_fields(sources: dict[str, str]) -> set[str]:
 
 
 def test_every_config_field_is_read():
-    unread = _unread_config_fields(
-        {str(p.relative_to(PACKAGE).with_suffix("")): p.read_text()
-         for p in sorted(PACKAGE.rglob("*.py"))})
-    assert not unread, f"{CONFIG} fields nothing reads: {sorted(unread)}"
+    sources = {str(p.relative_to(PACKAGE).with_suffix("")): p.read_text()
+               for p in sorted(PACKAGE.rglob("*.py"))}
+    unread = {f"{config}.{name}" for config in CONFIGS
+              for name in _unread_config_fields(sources, config)}
+    assert not unread, f"fields nothing reads: {sorted(unread)}"
 
 
 def test_guard_sees_an_unread_config_field():
-    config = (f"class {CONFIG}:\n"
+    config = ("class Config:\n"
               "    used: int = 1\n"
               "    echoed: int = 2\n"
               "    passed: int = 3\n"
               "    def to_dict(self): return self.echoed\n")
-    caller = (f"cfg = {CONFIG}(passed=4)\n"
+    caller = ("cfg = Config(passed=4)\n"
               "passed = cfg.used\n")
-    assert _unread_config_fields({"m": config, "n": caller}) == \
+    assert _unread_config_fields({"m": config, "n": caller}, "Config") == \
         {"echoed", "passed"}
 
 
 def _unchecked_dataclasses(sources: dict[str, str]) -> set[str]:
-    """Names of the ``@dataclass(frozen=True)`` classes whose
+    """Names of the ``@dataclass(frozen=True, ...)`` classes whose
     ``__post_init__`` does not begin with ``check_fields(self)``."""
     return {node.name for text in sources.values()
             for node in ast.walk(ast.parse(text))
             if isinstance(node, ast.ClassDef)
-            and "dataclass(frozen=True)" in map(ast.unparse,
-                                                node.decorator_list)
+            and any(ast.unparse(d).startswith("dataclass(frozen=True")
+                    for d in node.decorator_list)
             for post in node.body
             if isinstance(post, ast.FunctionDef)
             and post.name == "__post_init__"
@@ -268,6 +271,10 @@ def test_guard_sees_an_unchecked_dataclass():
               "class Unchecked:\n"
               "    def __post_init__(self):\n"
               "        validate(self)\n"
+              "@dataclass(frozen=True, kw_only=True)\n"
+              "class KeywordOnly:\n"
+              "    def __post_init__(self):\n"
+              "        validate(self)\n"
               "@dataclass(frozen=True)\n"
               "class Plain:\n"
               "    x: int = 1\n"
@@ -275,4 +282,5 @@ def test_guard_sees_an_unchecked_dataclass():
               "class Mutable:\n"
               "    def __post_init__(self):\n"
               "        validate(self)\n")
-    assert _unchecked_dataclasses({"m": source}) == {"Late", "Unchecked"}
+    assert _unchecked_dataclasses({"m": source}) == \
+        {"Late", "Unchecked", "KeywordOnly"}

@@ -60,6 +60,10 @@ POOL_16 = [r["task_id"] for r in fixtures.reference_table("ET-22-T2")]
      "roi_keep_classes must be an integer, got '2'"),
     (lambda: SelectionConfig(threads=2.5), "InvalidSpec",
      "threads must be an integer, got 2.5"),
+    (lambda: SelectionConfig(threads=0), "InvalidSpec",
+     "threads must be >= 1"),
+    (lambda: SelectionConfig(threads=-3), "InvalidSpec",
+     "threads must be >= 1"),
     (lambda: SelectionConfig(sampler=None), "InvalidSpec",
      "sampler must be of type SubsampleSpec, got None"),
     (lambda: roi_filter([], make_bundle("ET-9-T2"), SelectionConfig()),
@@ -73,7 +77,8 @@ POOL_16 = [r["task_id"] for r in fixtures.reference_table("ET-22-T2")]
     (lambda: fixtures.reference_scores("ET-22-T2", "ssim"), "InvalidSpec",
      "unknown column 'ssim'; have ('dice', 'hscore', 'otce')"),
 ], ids=["roi-keep-0", "path-str", "metric-str", "top-k-float",
-        "roi-keep-str", "threads-float", "sampler-none", "roi-filter-empty",
+        "roi-keep-str", "threads-float", "threads-0", "threads-negative",
+        "sampler-none", "roi-filter-empty",
         "roi-filter-no-labels",
         "reference-unknown-target", "reference-unknown-column"])
 def test_input_guards(call, code, detail):
