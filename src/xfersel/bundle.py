@@ -14,18 +14,20 @@ share across threads.
 
 One reader, ``_Payload``, serves both files: ``check`` validates the header
 and the payload length and records the file's identity (device, inode,
-size, mtime), ``read()`` returns the whole array and ``read(rows)`` the
-sampled feature rows.  :func:`load_bundle` reads the labels whole and
-leaves the features payload on disk, checking its finiteness in one
-streaming pass.  :func:`flatten_pixels` then reads only the rows it
-samples, one ``pread`` per run of consecutive rows;
-``PixelFeatureSet.features`` reads the whole array at each use and keeps
-no copy.  Each read checks the identity again, that it did not come up
-short and that the values it read are finite, so a ``features.bin``
-changed after loading is ``CorruptBinary`` (``NonFiniteFeature`` for a
-NaN written without changing its size or mtime, ``IoFailure`` once
-deleted).  :func:`write_bundle` writes each header and then the array's
-own buffer, so it holds no copy of a payload.
+size, mtime); one loop, ``_Payload.blocks``, then makes every read, one
+``preadv`` per block of a run of consecutive rows (the whole payload is
+one run).  :func:`load_bundle` reads the labels whole and leaves the
+features payload on disk, checking its finiteness in one pass through a
+reused buffer.  :func:`flatten_pixels` reads only the rows it samples,
+an isolated one in a ``preadv`` of its own, and ``pixel_rows`` picks
+rows by numpy's own rule for both stores; ``PixelFeatureSet.features``
+reads the whole array at each use and keeps no copy.  Each read checks
+the identity again, that it did not come up short (``read short at byte
+<P>``, where the data ran out) and that the features it read are finite,
+so a ``features.bin`` changed after loading is ``CorruptBinary``
+(``NonFiniteFeature`` for a NaN written without changing its size or
+mtime, ``IoFailure`` once deleted).  :func:`write_bundle` writes each
+header and then the array's own buffer, so it holds no copy of a payload.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .errors import (
     InvalidSpecError,
     IoFailureError,
     MissingFeaturesError,
+    MissingLabelsError,
     MissingManifestError,
     NonFiniteFeatureError,
     ShapeMismatchError,
@@ -180,8 +183,9 @@ class PixelFeatureSet:
     The [n_samples, H, W, C] float32 values come from one of two places: an
     array (synthetic tasks, tests, library callers) or the ``features.bin``
     payload :func:`load_bundle` checked, read again at every use.  Either
-    way the set is checked whole at construction, and every read returns
-    the same bits.  A set is immutable and safe to share across threads.
+    way the set is checked whole at construction, rows are picked by
+    numpy's own indexing rule, and every read returns the same bits.  A
+    set is immutable and safe to share across threads.
     """
 
     def __init__(self, task_id: str, features, aligned_labels: LabelMaskSet):
@@ -211,7 +215,9 @@ class PixelFeatureSet:
         self._shape = shape
         if self._file is None:
             self._checked(self._array)
-        elif not self._file.all_finite():
+        elif not all([_all_finite(block) for block in self._file.blocks()]):
+            # each block is checked as it lands; the list reads to the end,
+            # so the file is closed before a NaN is named
             self._non_finite()
 
     def _non_finite(self):
@@ -234,13 +240,21 @@ class PixelFeatureSet:
         return self._checked(self._file.read())
 
     def pixel_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Rows of the [n_pixels, C] pixel view: the integer ``rows``, as
-        the view indexes them, or all; a set on disk reads just those rows
+        """Rows of the [n_pixels, C] pixel view: all, or those ``rows``
+        picks by numpy's own rule (integers, a negative one counting from
+        the end, or a boolean mask), with numpy's own ``IndexError`` for any
+        other index, on either store.  A set on disk reads just those rows
         and checks them again."""
-        if rows is not None and self._file is not None:
-            return self._checked(self._file.read(rows))
-        flat = self.features.reshape(self.n_pixels, self.channels)
-        return flat if rows is None else flat[rows]
+        n = self.n_pixels
+        if rows is None:
+            return self.features.reshape(n, self.channels)
+        np.empty((n, 0), np.uint8)[rows]    # numpy's rule, on no data
+        rows = np.asarray(rows)
+        rows = (np.flatnonzero(rows) if rows.dtype == bool
+                else rows.astype(np.intp) % n)
+        if self._file is None:
+            return self._array.reshape(n, self.channels)[rows]
+        return self._checked(self._file.read(rows))
 
     @property
     def channels(self) -> int:
@@ -261,6 +275,8 @@ class TaskBundle:
 
     def __post_init__(self):
         if self.features is not None:
+            if self.labels is None:
+                raise MissingLabelsError(self.task_id)
             if self.features.aligned_labels.masks.shape != self.labels.masks.shape:
                 raise ShapeMismatchError(
                     "bundle features are not aligned with bundle labels")
@@ -388,10 +404,10 @@ class _Payload:
     """A ``labels.bin`` or ``features.bin`` whose header a load checked.
 
     ``identity`` is the file's (device, inode, size, mtime) at that check;
-    every later read opens the file and compares it first.  A rewrite that
-    keeps the size within the file system's timestamp resolution keeps the
-    identity, and only the finiteness check of each features read applies
-    to it.
+    every later read goes through :meth:`blocks`, which opens the file and
+    compares it first.  A rewrite that keeps the size within the file
+    system's timestamp resolution keeps the identity, and only the
+    finiteness check of each features read applies to it.
     """
 
     file: Path
@@ -422,79 +438,60 @@ class _Payload:
         if got_ndim != ndim:
             raise CorruptBinaryError(
                 f"{name}: expected ndim {ndim}, got {got_ndim}")
-        payload = cls(file, head_len, struct.unpack_from(f"<{ndim}Q", head, 7),
-                      np.dtype(dtype), _identity(stat))
-        payload._expect_length(stat.st_size - head_len)
-        return payload
-
-    def _expect_length(self, length: int):
-        if length != math.prod(self.dims) * self.dtype.itemsize:
-            raise CorruptBinaryError(f"{self.file.name}: payload length "
-                                     f"{length} does not match dims "
-                                     f"{self.dims}")
-
-    def _short(self, position: int):
-        raise CorruptBinaryError(
-            f"{self.file.name}: read short at byte {position}; the file "
-            f"changed since the bundle was loaded")
-
-    def all_finite(self) -> bool:
-        """Whether every payload value is finite, in one pass through one
-        buffer of ``_READ_BYTES``."""
-        buf = np.empty(_READ_BYTES // self.dtype.itemsize, self.dtype)
-        with _opened(self.file, self.identity) as fh:
-            fh.seek(self.offset)
-            left = math.prod(self.dims)
-            while left:
-                block = buf[:min(left, len(buf))]
-                if fh.readinto(block) != block.nbytes:
-                    self._short(fh.tell())
-                if not _all_finite(block):
-                    return False
-                left -= len(block)
-        return True
+        dims = struct.unpack_from(f"<{ndim}Q", head, 7)
+        length = stat.st_size - head_len
+        if length != math.prod(dims) * np.dtype(dtype).itemsize:
+            raise CorruptBinaryError(f"{name}: payload length {length} does "
+                                     f"not match dims {dims}")
+        return cls(file, head_len, dims, np.dtype(dtype), _identity(stat))
 
     def read(self, rows: np.ndarray | None = None) -> np.ndarray:
         """The whole payload, read into a new array, which numpy aligns
         whatever the header length (a view at the header's offset would not
-        be); or the ``rows``, in any order, of the [n_pixels, C] view."""
-        with _opened(self.file, self.identity) as fh:
-            if rows is not None:
-                return self._gather(fh.fileno(), rows)
-            out = np.empty(self.dims, self.dtype)
-            fh.seek(self.offset)
-            self._expect_length(fh.readinto(out))
-            return out
+        be); or the non-negative ``rows``, in any order, of the [n, C]
+        view."""
+        out = np.empty(self.dims if rows is None
+                       else (*rows.shape, self.dims[-1]), self.dtype)
+        for _ in self.blocks(rows, out):
+            pass
+        return out
 
-    def _gather(self, fd: int, rows) -> np.ndarray:
-        """The integer ``rows`` of the [n, C] view, indexed as an array
-        indexes them: a negative row counts from the end, and one outside
-        -n..n-1 is ``IndexError``.  One ``pread`` per run of consecutive
-        rows, straight into its slice of the result; a run is split so no
-        read passes ``_READ_BYTES`` (or one row)."""
+    def blocks(self, rows: np.ndarray | None = None,
+               out: np.ndarray | None = None):
+        """The one read loop: read the whole payload, or the non-negative
+        ``rows`` of the [n, C] view, into ``out`` or, when None, through one
+        reused buffer, and yield each block as it lands.  A block is one
+        ``preadv`` of a run of consecutive rows (the whole payload is one
+        run), cut so that none passes ``_READ_BYTES`` (or one row).  A read
+        that comes up short names the byte where the data ran out."""
         *lead, width = self.dims
-        n = math.prod(lead)
-        rows = np.asarray(rows)
-        if rows.dtype.kind not in "iu":
-            raise IndexError(f"feature rows must be integers, got {rows.dtype}")
-        outside = rows[(rows < -n) | (rows >= n)]
-        if outside.size:
-            raise IndexError(f"index {outside[0]} is out of bounds for axis 0 "
-                             f"with size {n}")
-        row = width * self.dtype.itemsize
+        n, row = math.prod(lead), width * self.dtype.itemsize
         step = max(_READ_BYTES // row, 1)
-        out = np.empty((rows.size, width), self.dtype)
-        starts = (self.offset + rows.reshape(-1).astype(np.int64) % n
-                  * row).tolist()
-        lo = 0
-        for hi in range(1, len(starts) + 1):
-            if (hi < len(starts) and starts[hi] == starts[hi - 1] + row
-                    and hi - lo < step):
-                continue
-            if os.preadv(fd, [out[lo:hi]], starts[lo]) != (hi - lo) * row:
-                self._short(starts[lo])
-            lo = hi
-        return out.reshape(*rows.shape, width)
+        if rows is None:
+            cuts = [(i, i, min(step, n - i)) for i in range(0, n, step)]
+        else:
+            # a run starts where a row is not the one after the last; a
+            # block starts every ``step`` rows into a run
+            rows, at = rows.reshape(-1), np.arange(rows.size)
+            run_at = np.maximum.accumulate(
+                at * (np.diff(rows, prepend=rows[:1]) != 1))
+            places = np.flatnonzero((at - run_at) % step == 0)
+            cuts = zip(rows[places].tolist(), places.tolist(),
+                       np.diff(places, append=rows.size).tolist())
+        into = (np.empty((min(step, n), width), self.dtype) if out is None
+                else out.reshape(-1, width))
+        with _opened(self.file, self.identity) as fh:
+            for first, place, count in cuts:
+                lo = 0 if out is None else place
+                block = into[lo:lo + count]
+                start = self.offset + first * row
+                got = os.preadv(fh.fileno(), [block], start)
+                if got != block.nbytes:
+                    raise CorruptBinaryError(
+                        f"{self.file.name}: read short at byte "
+                        f"{start + got}; the file changed since the bundle "
+                        f"was loaded")
+                yield block
 
 
 # ---------------------------------------------------------------------------

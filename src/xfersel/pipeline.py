@@ -158,6 +158,8 @@ def roi_filter(subset1: list[TaskBundle], target: TaskBundle,
     """
     if not subset1:
         raise NoCompatibleSourceError("subset 1 is empty")
+    if target.labels is None:
+        raise MissingLabelsError(target.task_id)
     by_class: dict[str, list[TaskBundle]] = {}
     for b in subset1:
         if b.labels is None:

@@ -128,6 +128,9 @@ def _masks(*shape):
     (lambda: TaskBundle(TaskDescriptor.from_name("ED-1-T2"), _masks(3, 8, 8),
                         make_bundle(n=2).features),
      "ShapeMismatch", "bundle features are not aligned with bundle labels"),
+    (lambda: TaskBundle(TaskDescriptor.from_name("ED-1-T2"), labels=None,
+                        features=make_bundle().features),
+     "MissingLabels", "ED-1-T2"),
 ], ids=["one-part-name", "seed-over-64-bits", "max-pixels-float",
         "max-pixels-bool", "seed-float", "descriptor-task-id-int",
         "descriptor-modality-int", "descriptor-partition-int",
@@ -140,7 +143,8 @@ def _masks(*shape):
         "masks-object-none", "masks-str", "masks-ragged",
         "features-3d", "features-no-channel", "features-complex",
         "features-object", "features-str", "features-ragged",
-        "features-past-float32", "features-misaligned"])
+        "features-past-float32", "features-misaligned",
+        "features-without-labels"])
 def test_spec_guards(call, code, detail):
     with pytest.raises(XferselError) as info:
         call()
@@ -348,6 +352,17 @@ class TestBundleIo:
         with pytest.raises(NonFiniteFeatureError):
             load_bundle(tmp_path / "b")
 
+    def test_nonfinite_in_last_block_rejected(self, tmp_path, bundle,
+                                              monkeypatch):
+        # the load's pass reads 100-byte blocks into one reused buffer and
+        # checks each, the last one included
+        monkeypatch.setattr(bundle_module, "_READ_BYTES", 100)
+        write_bundle(bundle, tmp_path / "b")
+        f = tmp_path / "b" / "features.bin"
+        f.write_bytes(f.read_bytes()[:-4] + np.float32("inf").tobytes())
+        with pytest.raises(NonFiniteFeatureError):
+            load_bundle(tmp_path / "b")
+
     def test_unwritable_destination(self, tmp_path, bundle):
         blocker = tmp_path / "occupied"
         blocker.write_text("a file where a directory is needed")
@@ -448,11 +463,11 @@ def test_short_payload_read(tmp_path, bundle, monkeypatch):
     # features.bin: a 39-byte header, then 192 rows of 4 float32 (16 bytes)
     for read, detail in [
             (lambda: load_bundle(tmp_path / "labels"),
-             "labels.bin: payload length 191 does not match dims (3, 8, 8)"),
+             "labels.bin: read short at byte 222" + changed),
             (lambda: load_bundle(tmp_path / "stream"),
              "features.bin: read short at byte 3110" + changed),
             (lambda: loaded.features.pixel_rows(np.array([191])),
-             "features.bin: read short at byte 3095" + changed)]:
+             "features.bin: read short at byte 3110" + changed)]:
         with pytest.raises(CorruptBinaryError) as info:
             read()
         assert info.value.detail == detail
@@ -643,3 +658,30 @@ class TestFlattenPixels:
                 got.append(str(exc))
         assert got[0] == got[1]
         assert isinstance(got[0], bytes) == (-32 <= row < 32)
+
+    @pytest.mark.parametrize("rows", [
+        np.arange(32) % 3 == 0, np.zeros(32, bool), np.ones(31, bool),
+        np.ones(33, bool), np.array([1.0, 2.0]), np.array(3.0), [],
+        np.array([[0, 31], [-1, 5]]), np.array(7, np.uint64)],
+        ids=["mask", "mask-none", "mask-short", "mask-long", "float-rows",
+             "float-row", "empty-list", "2d-rows", "uint-row"])
+    def test_rows_picked_by_numpys_rule_on_both_stores(self, tmp_path, rows):
+        # either store picks the same rows, or raises numpy's own IndexError
+        b = make_bundle(n=2, h=4, w=4, c=3)
+        write_bundle(b, tmp_path / "b")
+        loaded = load_bundle(tmp_path / "b")
+        got = []
+        for fs in (loaded.features, b.features):
+            try:
+                picked = fs.pixel_rows(rows)
+                got.append((picked.shape, picked.tobytes()))
+            except IndexError as exc:
+                got.append(str(exc))
+        assert got[0] == got[1]
+        flat = b.features.features.reshape(32, 3)
+        try:
+            want = flat[rows]
+        except IndexError as exc:
+            assert got[0] == str(exc)
+        else:
+            assert got[0] == (want.shape, want.tobytes())

@@ -482,6 +482,8 @@ def _plan(n_s, n_t):
      "max_iters must be an integer, got 2.5"),
     (lambda: SinkhornParams(marginal_tol=None), "InvalidSpec",
      "marginal_tol must be a real number, got None"),
+    (lambda: SinkhornParams(epsilon=10**400), "InvalidSpec",
+     f"epsilon must be a real number, got {10**400!r}"),
     (lambda: cost_matrix(np.ones(3), np.ones((2, 3))), "DimensionMismatch",
      "feature lists must be 2-D [N, C]"),
     (lambda: cost_matrix(np.ones((0, 3)), np.ones((2, 3))),
@@ -492,6 +494,7 @@ def _plan(n_s, n_t):
      "LengthMismatch", "2 target labels for 3 coupling columns"),
 ], ids=["marginal-tol-0", "marginal-tol-negative", "max-iters-0",
         "epsilon-str", "max-iters-float", "marginal-tol-none",
+        "epsilon-past-float-range",
         "cost-1d", "cost-empty", "sinkhorn-1d", "joint-target-labels"])
 def test_input_guards(call, code, detail):
     with pytest.raises(XferselError) as info:

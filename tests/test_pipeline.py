@@ -72,6 +72,10 @@ POOL_16 = [r["task_id"] for r in fixtures.reference_table("ET-22-T2")]
                                     labels=None)],
                         make_bundle("ET-9-T2"), SelectionConfig()),
      "MissingLabels", "ED-1-T2"),
+    (lambda: select([make_bundle("ED-1-T2")],
+                    TaskBundle(TaskDescriptor.from_name("ET-9-T2"),
+                               labels=None), SelectionConfig()),
+     "MissingLabels", "ET-9-T2"),
     (lambda: fixtures.reference_table("ET-1-T1"), "UnknownTask",
      "no reference table for 'ET-1-T1'; have ('ET-22-T2', 'ET-20-T1')"),
     (lambda: fixtures.reference_scores("ET-22-T2", "ssim"), "InvalidSpec",
@@ -79,7 +83,7 @@ POOL_16 = [r["task_id"] for r in fixtures.reference_table("ET-22-T2")]
 ], ids=["roi-keep-0", "path-str", "metric-str", "top-k-float",
         "roi-keep-str", "threads-float", "threads-0", "threads-negative",
         "sampler-none", "roi-filter-empty",
-        "roi-filter-no-labels",
+        "roi-filter-no-labels", "select-target-no-labels",
         "reference-unknown-target", "reference-unknown-column"])
 def test_input_guards(call, code, detail):
     with pytest.raises(XferselError) as info:

@@ -8,6 +8,7 @@ from xfersel.errors import (
     DuplicateTaskIdError,
     IdSetMismatchError,
     InvalidSpecError,
+    IoFailureError,
     KOutOfRangeError,
     NonFiniteScoreError,
     UnknownTaskError,
@@ -147,6 +148,14 @@ class TestCsvRoundTrip:
         assert "\r" not in text
         loaded = read_ranking_csv(path)
         assert loaded.position == r.position
+
+    def test_write_under_missing_directory(self, tmp_path):
+        r = build_ranking([("a", 1.0)])
+        path = tmp_path / "missing" / "r.csv"
+        with pytest.raises(IoFailureError) as info:
+            write_ranking_csv(r, path)
+        assert str(path) in info.value.detail
+        assert not path.parent.exists()
 
     def test_six_decimal_scores(self):
         text = ranking_to_csv(build_ranking([("a", 1 / 3)]))
