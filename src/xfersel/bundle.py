@@ -242,16 +242,16 @@ class PixelFeatureSet:
     def pixel_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Rows of the [n_pixels, C] pixel view: all, or those ``rows``
         picks by numpy's own rule (integers, a negative one counting from
-        the end, or a boolean mask), with numpy's own ``IndexError`` for any
-        other index, on either store.  A set on disk reads just those rows
-        and checks them again."""
+        the end, or a boolean mask), in numpy's shape and with its own
+        ``IndexError`` for any other index, on either store.  A set on disk
+        reads just those rows and checks them again."""
         n = self.n_pixels
         if rows is None:
             return self.features.reshape(n, self.channels)
-        np.empty((n, 0), np.uint8)[rows]    # numpy's rule, on no data
+        shape = np.empty((n, 0), np.uint8)[rows].shape[:-1]  # numpy's rule
         rows = np.asarray(rows)
-        rows = (np.flatnonzero(rows) if rows.dtype == bool
-                else rows.astype(np.intp) % n)
+        rows = (np.flatnonzero(np.broadcast_to(rows, n)).reshape(shape)
+                if rows.dtype == bool else rows.astype(np.intp) % n)
         if self._file is None:
             return self._array.reshape(n, self.channels)[rows]
         return self._checked(self._file.read(rows))
@@ -277,7 +277,9 @@ class TaskBundle:
         if self.features is not None:
             if self.labels is None:
                 raise MissingLabelsError(self.task_id)
-            if self.features.aligned_labels.masks.shape != self.labels.masks.shape:
+            a, b = self.features.aligned_labels, self.labels
+            if a is not b and (a.positive_class != b.positive_class
+                               or not np.array_equal(a.masks, b.masks)):
                 raise ShapeMismatchError(
                     "bundle features are not aligned with bundle labels")
 

@@ -36,7 +36,7 @@ from .errors import (
     XferselError,
 )
 # unused here, but bench/layers.py traces xfersel.cli.hscore_segmentation
-from .hscore import HScoreParams, hscore_segmentation
+from .hscore import HScoreParams, check_hscore_memory, hscore_segmentation
 from .otce import SinkhornParams
 from .pipeline import (
     Metric,
@@ -56,7 +56,7 @@ from .ranking import (
     read_scores_csv,
 )
 from .roisim import DEFAULT_MAX_PAIRS, PairingMode, roi_sim
-from .synth import SynthSpec, generate_tasks, probe_target, probe_transfer
+from .synth import SynthSpec, generate_tasks, probe_pixels, probe_transfer
 
 DEFAULT_SEED = 42
 
@@ -264,18 +264,20 @@ def cmd_synth_eval(args) -> int:
     if args.target not in by_id:
         raise UnknownTaskError(f"{args.target} not found under {args.dir}")
     target = by_id[args.target]
-    target.require_features("synth-eval")
+    fs = target.require_features("synth-eval")
     cfg = _config(args, path=SelectionPath.BASELINE)
     scores = None
     if cfg.metric is Metric.HSCORE:
         pool = [b for b in bundles if b.task_id != target.task_id]
+        check_hscore_memory(
+            [b.features for b in pool if b.features is not None], cfg.threads)
         reports = map_sources(lambda b: score_sources([b], b, cfg)[0],
                               pool, cfg.threads)
         scores = {b.task_id: r.score for b, r in zip(pool, reports)}
     report = select(bundles, target, cfg, scores=scores)
     metric_rank = report.final_ranking
     sources = [by_id[t] for t in report.subset2]
-    pixels = probe_target(target)
+    pixels = probe_pixels(fs, [b.features for b in sources], cfg.threads)
     accuracies = map_sources(
         lambda b: probe_transfer(b, target, cfg.sampler.seed, pixels).accuracy,
         sources, cfg.threads)
@@ -401,7 +403,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"ERROR IoFailure: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

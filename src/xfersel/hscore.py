@@ -38,6 +38,7 @@ from .errors import (
     NonFiniteFeatureError,
     ShapeMismatchError,
 )
+from .otce import require_memory
 
 # float64 working bytes one chunk of pixel problems may hold
 _CHUNK_BYTES = 2 << 20
@@ -58,14 +59,17 @@ class HScoreReport:
     score: float
     skipped_pixels: int
     rank_deficient_pixels: int
-    per_pixel_scores: np.ndarray | None = None  # [H, W] float64
+
+
+def _pixel_bytes(n: int, c: int, k: int) -> int:
+    """Working bytes of one pixel problem: float32 gather, float64 features,
+    one-hot, two C x C (covariance and its LU copy) and three K x C blocks."""
+    return 4 * n * c + 8 * (n * c + n * k + 2 * c * c + 3 * k * c)
 
 
 def _chunk_pixels(n: int, c: int, k: int) -> int:
-    """Pixels per chunk: float32 gather, float64 features, one-hot, two
-    C x C (covariance and its LU copy) and three K x C blocks per pixel."""
-    per_pixel = 4 * n * c + 8 * (n * c + n * k + 2 * c * c + 3 * k * c)
-    return max(1, _CHUNK_BYTES // per_pixel)
+    """Pixels per chunk: as many as fit in ``_CHUNK_BYTES``, at least one."""
+    return max(1, _CHUNK_BYTES // _pixel_bytes(n, c, k))
 
 
 def _pixel_hscores(features: np.ndarray, labels: np.ndarray,
@@ -123,9 +127,26 @@ def hscore_classification(features: np.ndarray, labels: np.ndarray,
                                 np.zeros(1, np.intp), params.ridge)[0])
 
 
+def _memory_need(fs: PixelFeatureSet) -> int:
+    """The bytes :func:`hscore_segmentation` holds at its peak, an upper
+    bound: the whole float32 export it reads, the foreground and one
+    comparison of it, three float64 grids and twice a chunk's working set."""
+    (n, h, w), c = fs.aligned_labels.masks.shape, fs.channels
+    chunk = min(_chunk_pixels(n, c, 2), h * w) * _pixel_bytes(n, c, 2)
+    return n * h * w * (4 * c + 2) + 24 * h * w + 2 * chunk
+
+
+def check_hscore_memory(sets: list[PixelFeatureSet], threads: int = 1) -> None:
+    """Refuse, before any export is read, the H-scores of ``sets`` run
+    ``min(threads, len(sets))`` at a time when their peaks add up to more
+    than the available memory (``InvalidSpecError``)."""
+    workers = max(1, min(threads, len(sets)))
+    require_memory(workers * max(map(_memory_need, sets), default=0),
+                   f"the H-score of {workers} concurrent export(s)")
+
+
 def hscore_segmentation(fs: PixelFeatureSet,
-                        params: HScoreParams = HScoreParams(),
-                        keep_per_pixel: bool = False) -> HScoreReport:
+                        params: HScoreParams = HScoreParams()) -> HScoreReport:
     """Pixel-wise H-score of a feature set against its aligned foreground.
 
     ``fs`` should hold the source model's outputs on the target images,
@@ -133,10 +154,12 @@ def hscore_segmentation(fs: PixelFeatureSet,
     across the samples carry no class signal; they contribute 0 and are
     counted in ``skipped_pixels``.  The final score is the mean over all
     H*W positions, summed in a fixed order independent of the chunking.
+    The whole export is read once, after :func:`check_hscore_memory`.
     """
     (n, h, w), c = fs.aligned_labels.masks.shape, fs.channels
     if n < 2:
         raise DegenerateInputError(f"need >= 2 samples per pixel, got {n}")
+    check_hscore_memory([fs])
     feats = fs.features.reshape(n, h * w, c)
     labs = fs.aligned_labels.foreground.reshape(n, h * w)
     active = np.flatnonzero((labs != labs[0]).any(axis=0))
@@ -147,5 +170,4 @@ def hscore_segmentation(fs: PixelFeatureSet,
         score=float(per_pixel.sum() / (h * w)),
         skipped_pixels=h * w - len(active),
         rank_deficient_pixels=len(active) if n <= c else 0,
-        per_pixel_scores=per_pixel.reshape(h, w) if keep_per_pixel else None,
     )

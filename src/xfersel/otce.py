@@ -318,7 +318,8 @@ MEMINFO = "/proc/meminfo"
 
 
 def available_memory_bytes() -> int:
-    """Bytes of memory available to new allocations, the bound on OTCE pairs.
+    """Bytes of memory available to new allocations, the bound of
+    :func:`require_memory`.
 
     This is the kernel's ``MemAvailable`` estimate; where ``MEMINFO`` cannot
     be read or lacks it, physical memory.
@@ -331,6 +332,16 @@ def available_memory_bytes() -> int:
     except (OSError, ValueError):
         pass
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(need: int, what: str, advice: str = "") -> None:
+    """Raise ``InvalidSpecError`` before ``what`` allocates ``need`` bytes
+    when that is more than :func:`available_memory_bytes`."""
+    have = available_memory_bytes()
+    if need > have:
+        raise InvalidSpecError(
+            f"{what} needs about {need / 2**20:,.1f} MiB, more than the "
+            f"{have / 2**20:,.1f} MiB of available memory{advice}")
 
 
 def otce_target(target: PixelFeatureSet, sources: list[PixelFeatureSet],
@@ -349,13 +360,9 @@ def otce_target(target: PixelFeatureSet, sources: list[PixelFeatureSet],
 
     n_s, n_t = max(map(kept, sources)), kept(target)
     pairs = max(1, min(threads, len(sources)))
-    need = 2 * n_s * n_t * 8 * pairs
-    have = available_memory_bytes()
-    if need > have:
-        raise InvalidSpecError(
-            f"OTCE needs about {need / 2**20:,.1f} MiB for {pairs} concurrent "
-            f"{n_s} x {n_t} pixel pair(s), more than the "
-            f"{have / 2**20:,.1f} MiB of available memory; lower --max-pixels")
+    require_memory(2 * n_s * n_t * 8 * pairs,
+                   f"OTCE of {pairs} concurrent {n_s} x {n_t} pixel pair(s)",
+                   "; lower --max-pixels")
     return flatten_pixels(target, sampler)
 
 

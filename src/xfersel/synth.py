@@ -34,7 +34,7 @@ from .bundle import (
     same_channels,
 )
 from .errors import InvalidSpecError
-from .otce import available_memory_bytes
+from .otce import require_memory
 from .rng import word
 
 MEAN_SCALE = 0.15         # class means sit at -+MEAN_SCALE per channel
@@ -123,12 +123,7 @@ def generate_tasks(spec: SynthSpec) -> list[TaskBundle]:
     available memory this raises ``InvalidSpecError`` before anything is
     allocated.
     """
-    need = _memory_need(spec)
-    have = available_memory_bytes()
-    if need > have:
-        raise InvalidSpecError(
-            f"synth spec needs about {need / 2**20:,.1f} MiB, more than the "
-            f"{have / 2**20:,.1f} MiB of available memory")
+    require_memory(_memory_need(spec), "synth spec")
     bundles = []
     for t in range(spec.n_tasks):
         s = spec.signal_strengths[t]
@@ -166,11 +161,20 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return w
 
 
-def probe_target(target: TaskBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Every pixel of a target with features, as the probe evaluates it:
-    float64 features [N, C] and its 0/1 foreground [N]."""
-    return (target.features.features.reshape(-1, target.features.channels)
-            .astype(np.float64), target.labels.foreground.reshape(-1))
+def probe_pixels(target: PixelFeatureSet, sources: list[PixelFeatureSet],
+                 threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Every pixel of ``target``, as :func:`flatten_pixels` lists it with
+    no cap, once its probe from ``sources``, ``min(threads, len(sources))``
+    at a time, fits in the available memory (else ``InvalidSpecError``):
+    the list and its read take 12C + 9 bytes a target pixel, and each
+    worker 18 more, one a source pixel and 32(C + 1) a training pixel."""
+    n, c = target.n_pixels, target.channels
+    workers = max(1, min(threads, len(sources)))
+    per_worker = (18 * n + max((fs.n_pixels for fs in sources), default=0)
+                  + 32 * PROBE_TRAIN_PIXELS * (c + 1))
+    require_memory(n * (12 * c + 9) + workers * per_worker,
+                   f"the probe of {workers} concurrent source(s)")
+    return flatten_pixels(target, SubsampleSpec(max_pixels=n))
 
 
 def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
@@ -181,8 +185,8 @@ def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
     The training set is a seeded subsample of at most ``PROBE_TRAIN_PIXELS``
     source pixels; evaluation uses every target pixel.  Both sides train
     and score on their ``LabelMaskSet.foreground``.  Deterministic per seed.
-    ``target_pixels`` is the target as :func:`probe_target` casts it, which
-    a caller probing one target from many sources passes to cast it once.
+    ``target_pixels`` is the target as :func:`probe_pixels` lists it, which
+    a caller probing one target from many sources passes to list it once.
     """
     same_channels(source.require_features("probe").channels,
                   target.require_features("probe").channels)
@@ -191,7 +195,7 @@ def probe_transfer(source: TaskBundle, target: TaskBundle, seed: int = 42,
     w = _fit_logistic(train_x, train_y)
 
     if target_pixels is None:
-        target_pixels = probe_target(target)
+        target_pixels = probe_pixels(target.features, [source.features])
     eval_x, eval_y = target_pixels
     logits = eval_x @ w[:-1] + w[-1]
     accuracy = float(np.mean((logits > 0) == eval_y))

@@ -131,6 +131,15 @@ def _masks(*shape):
     (lambda: TaskBundle(TaskDescriptor.from_name("ED-1-T2"), labels=None,
                         features=make_bundle().features),
      "MissingLabels", "ED-1-T2"),
+    (lambda: TaskBundle(TaskDescriptor.from_name("ED-1-T2"),
+                        make_bundle(n=2, h=4, w=4, seed=1).labels,
+                        make_bundle(n=2, h=4, w=4, seed=2).features),
+     "ShapeMismatch", "bundle features are not aligned with bundle labels"),
+    (lambda: TaskBundle(
+        TaskDescriptor.from_name("ED-1-T2"), _masks(2, 4, 4),
+        PixelFeatureSet("x", np.zeros((2, 4, 4, 1)),
+                        LabelMaskSet("x", np.zeros((2, 4, 4), np.uint8), 0))),
+     "ShapeMismatch", "bundle features are not aligned with bundle labels"),
 ], ids=["one-part-name", "seed-over-64-bits", "max-pixels-float",
         "max-pixels-bool", "seed-float", "descriptor-task-id-int",
         "descriptor-modality-int", "descriptor-partition-int",
@@ -144,11 +153,20 @@ def _masks(*shape):
         "features-3d", "features-no-channel", "features-complex",
         "features-object", "features-str", "features-ragged",
         "features-past-float32", "features-misaligned",
-        "features-without-labels"])
+        "features-without-labels", "features-other-masks",
+        "features-other-positive-class"])
 def test_spec_guards(call, code, detail):
     with pytest.raises(XferselError) as info:
         call()
     assert (info.value.code, info.value.detail) == (code, detail)
+
+
+def test_bundle_accepts_features_aligned_to_equal_labels():
+    # every stage reads one RoI: the labels or, through the features, a set
+    # with the same masks and positive class
+    b = make_bundle(n=2, h=4, w=4)
+    equal = LabelMaskSet("y", b.labels.masks.copy(), b.labels.positive_class)
+    assert TaskBundle(b.descriptor, equal, b.features).labels is equal
 
 
 def test_numpy_integers_sample():
@@ -662,9 +680,11 @@ class TestFlattenPixels:
     @pytest.mark.parametrize("rows", [
         np.arange(32) % 3 == 0, np.zeros(32, bool), np.ones(31, bool),
         np.ones(33, bool), np.array([1.0, 2.0]), np.array(3.0), [],
-        np.array([[0, 31], [-1, 5]]), np.array(7, np.uint64)],
+        np.array([[0, 31], [-1, 5]]), np.array(7, np.uint64), np.array(True),
+        np.array(False)],
         ids=["mask", "mask-none", "mask-short", "mask-long", "float-rows",
-             "float-row", "empty-list", "2d-rows", "uint-row"])
+             "float-row", "empty-list", "2d-rows", "uint-row", "mask-0d-true",
+             "mask-0d-false"])
     def test_rows_picked_by_numpys_rule_on_both_stores(self, tmp_path, rows):
         # either store picks the same rows, or raises numpy's own IndexError
         b = make_bundle(n=2, h=4, w=4, c=3)

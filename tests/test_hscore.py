@@ -1,19 +1,44 @@
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from xfersel import bundle as bundle_module
 from xfersel import hscore
-from xfersel.bundle import LabelMaskSet, PixelFeatureSet
+from xfersel.bundle import (
+    LabelMaskSet,
+    PixelFeatureSet,
+    load_bundle,
+    write_bundle,
+)
 from xfersel.errors import (
     DegenerateInputError,
+    InvalidSpecError,
     NonFiniteFeatureError,
     XferselError,
 )
 from xfersel.hscore import HScoreParams, hscore_classification, hscore_segmentation
 from xfersel.synth import SynthSpec, generate_tasks
 
+from conftest import make_bundle
 from oracles import hscore_reference, hscore_segmentation_reference
+
+otce_module = importlib.import_module("xfersel.otce")
+
+
+def per_pixel_hscores(feats, masks):
+    """``hscore_classification`` of each pixel's samples against its 0/1
+    masks, 0 where only one class occurs: the per-pixel H-score grid."""
+    _, h, w, _ = feats.shape
+    scores = np.zeros((h, w))
+    for r in range(h):
+        for col in range(w):
+            y = masks[:, r, col]
+            if y.min() != y.max():
+                scores[r, col] = hscore_classification(
+                    feats[:, r, col].astype(np.float64), y)
+    return scores
 
 
 def feature_set(features, masks, task_id="t", positive_class=1):
@@ -152,10 +177,13 @@ class TestSegmentation:
 
     def test_nonnegative_with_ridge(self):
         rng = np.random.Generator(np.random.Philox(14))
-        fs = feature_set(rng.standard_normal((6, 5, 5, 4)),
-                         rng.integers(0, 2, (6, 5, 5)))
-        report = hscore_segmentation(fs, keep_per_pixel=True)
-        assert (report.per_pixel_scores >= -1e-9).all()
+        feats = rng.standard_normal((6, 5, 5, 4)).astype(np.float32)
+        masks = rng.integers(0, 2, (6, 5, 5))
+        report = hscore_segmentation(feature_set(feats, masks))
+        per_pixel = per_pixel_hscores(feats, masks)
+        assert (per_pixel >= -1e-9).all()
+        assert report.score == pytest.approx(per_pixel.mean(), abs=1e-9)
+        assert report.skipped_pixels == (masks == masks[0]).all(axis=0).sum()
 
     def test_min_samples_enforced(self):
         rng = np.random.Generator(np.random.Philox(15))
@@ -197,17 +225,11 @@ class TestSegmentation:
         feats = rng.standard_normal((8, 2, 5, 2)).astype(np.float32)
         masks = rng.integers(0, 2, (8, 2, 5)).astype(np.uint8)
         masks[:, 1, 3] = 0
-        report = hscore_segmentation(feature_set(feats, masks),
-                                     keep_per_pixel=True)
-        assert report.per_pixel_scores.shape == (2, 5)
-        for r in range(2):
-            for col in range(5):
-                expected = hscore_segmentation_reference(
-                    feats[:, r:r + 1, col:col + 1].astype(np.float64),
-                    masks[:, r:r + 1, col:col + 1], ridge=1e-8)
-                assert report.per_pixel_scores[r, col] == pytest.approx(
-                    expected, abs=1e-9)
-        assert report.per_pixel_scores[1, 3] == 0.0
+        report = hscore_segmentation(feature_set(feats, masks))
+        per_pixel = per_pixel_hscores(feats, masks)
+        assert report.score == pytest.approx(per_pixel.mean(), abs=1e-9)
+        assert report.skipped_pixels == (masks == masks[0]).all(axis=0).sum()
+        assert report.skipped_pixels >= 1
 
     def test_one_pixel_grid_equals_classification(self):
         rng = np.random.Generator(np.random.Philox(20))
@@ -241,3 +263,36 @@ class TestSegmentation:
         finally:
             tracemalloc.stop()
         assert peak < whole_float64
+
+    @pytest.mark.parametrize("n, h, w, c", [(8, 32, 32, 128), (16, 64, 64, 8),
+                                            (4, 64, 64, 64)])
+    def test_memory_estimate_bounds_peak(self, tmp_path, n, h, w, c):
+        # a set on disk reads its whole export, which dominates the peak
+        write_bundle(make_bundle(n=n, h=h, w=w, c=c), tmp_path / "b")
+        fs = load_bundle(tmp_path / "b").features
+        tracemalloc.start()
+        try:
+            hscore_segmentation(fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= hscore._memory_need(fs) <= 1.5 * peak
+
+    def test_refused_before_the_export_is_read(self, tmp_path, monkeypatch):
+        write_bundle(make_bundle(n=4, h=8, w=8, c=4), tmp_path / "b")
+        fs = load_bundle(tmp_path / "b").features
+        need = hscore._memory_need(fs)
+        reads = []
+        read = bundle_module._Payload.read
+        monkeypatch.setattr(bundle_module._Payload, "read",
+                            lambda *a: reads.append(1) or read(*a))
+        monkeypatch.setattr(otce_module, "available_memory_bytes",
+                            lambda: need - 1)
+        with pytest.raises(InvalidSpecError,
+                           match=r"the H-score of 1 concurrent export\(s\) "
+                                 r"needs about .* of available memory$"):
+            hscore_segmentation(fs)
+        assert reads == []
+        monkeypatch.setattr(otce_module, "available_memory_bytes", lambda: need)
+        assert hscore_segmentation(fs).score >= 0
+        assert reads == [1]

@@ -6,12 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from xfersel import fixtures, pipeline
+from xfersel import fixtures, hscore, pipeline
 from xfersel.bundle import (
     LabelMaskSet,
     SubsampleSpec,
     TaskBundle,
     TaskDescriptor,
+    load_bundle,
     write_bundle,
 )
 from xfersel.cli import main
@@ -421,6 +422,26 @@ def test_hscore_memory_does_not_grow_with_the_pool(tmp_path, capsys,
     one = peak("one", 1)
     assert one > payload
     assert peak("six", threads) <= threads * one + payload / 4
+
+
+def test_hscore_memory_estimate_counts_concurrent_exports(tmp_path, capsys,
+                                                          monkeypatch):
+    # synth-eval reads each source's whole export on a worker of its own,
+    # so two workers need twice one export's peak
+    pool = [make_bundle(f"ED-{i}-T2", n=8, h=16, w=16, c=4, seed=i)
+            for i in range(3)]
+    for b in pool:
+        write_bundle(b, tmp_path / b.task_id)
+    need = hscore._memory_need(load_bundle(tmp_path / "ED-0-T2").features)
+    monkeypatch.setattr(importlib.import_module("xfersel.otce"),
+                        "available_memory_bytes", lambda: need)
+    argv = ["synth-eval", "--dir", str(tmp_path), "--target", "ED-0-T2",
+            "--metric", "hscore"]
+    assert main(["--threads", "1", *argv]) == 0
+    capsys.readouterr()
+    assert main(["--threads", "2", *argv]) == 2
+    assert capsys.readouterr().err.startswith(
+        "ERROR InvalidSpec: the H-score of 2 concurrent export(s) needs about")
 
 
 class TestMapSources:

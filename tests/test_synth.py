@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -24,10 +25,14 @@ from xfersel.synth import (
     SynthSpec,
     _memory_need,
     generate_tasks,
+    probe_pixels,
     probe_transfer,
 )
 
+from conftest import make_bundle
 from oracles import synth_task_reference
+
+otce_module = importlib.import_module("xfersel.otce")
 
 SAMPLER = SubsampleSpec(max_pixels=256, seed=7)
 
@@ -173,6 +178,40 @@ class TestProbe:
                  for binary in (False, True)]
         accuracies = [probe_transfer(*pair).accuracy for pair in pairs]
         assert accuracies == [1.0, 1.0]
+
+    @pytest.mark.parametrize("channels", [1, 8, 32])
+    def test_memory_estimate_bounds_peak(self, tmp_path, monkeypatch,
+                                         channels):
+        # a target on disk: its float32 read, the float64 list and labels
+        for name, seed in (("t", 1), ("s", 2)):
+            write_bundle(make_bundle(f"ED-{seed}-T2", n=8, h=32, w=32,
+                                     c=channels, seed=seed), tmp_path / name)
+        target, source = load_bundle(tmp_path / "t"), load_bundle(tmp_path / "s")
+        tracemalloc.start()
+        try:
+            want = probe_transfer(source, target).accuracy
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(otce_module, "available_memory_bytes",
+                            lambda: peak - 1)
+        with pytest.raises(InvalidSpecError, match="of available memory$"):
+            probe_transfer(source, target)
+        monkeypatch.setattr(otce_module, "available_memory_bytes",
+                            lambda: int(1.5 * peak))
+        assert probe_transfer(source, target).accuracy == want
+
+    @pytest.mark.parametrize("threads, sources, workers",
+                             [(1, 3, 1), (2, 3, 2), (5, 3, 3), (5, 1, 1)])
+    def test_memory_estimate_counts_concurrent_sources(self, monkeypatch,
+                                                       threads, sources,
+                                                       workers):
+        fs = generate_tasks(small_spec([0.5]))[0].features
+        monkeypatch.setattr(otce_module, "available_memory_bytes", lambda: 0)
+        with pytest.raises(InvalidSpecError) as info:
+            probe_pixels(fs, [fs] * sources, threads)
+        assert info.value.detail.startswith(
+            f"the probe of {workers} concurrent source(s) needs about")
 
 
 class TestMonotoneSignal:
