@@ -266,23 +266,22 @@ def cmd_synth_eval(args) -> int:
     target = by_id[args.target]
     fs = target.require_features("synth-eval")
     cfg = _config(args, path=SelectionPath.BASELINE)
+    # the baseline path scores, and the probe judges, every other bundle
+    pool = [b for b in bundles if b.task_id != target.task_id]
     scores = None
     if cfg.metric is Metric.HSCORE:
-        pool = [b for b in bundles if b.task_id != target.task_id]
         check_hscore_memory(
             [b.features for b in pool if b.features is not None], cfg.threads)
         reports = map_sources(lambda b: score_sources([b], b, cfg)[0],
                               pool, cfg.threads)
         scores = {b.task_id: r.score for b, r in zip(pool, reports)}
-    report = select(bundles, target, cfg, scores=scores)
-    metric_rank = report.final_ranking
-    sources = [by_id[t] for t in report.subset2]
-    pixels = probe_pixels(fs, [b.features for b in sources], cfg.threads)
+    metric_rank = select(bundles, target, cfg, scores=scores).final_ranking
+    pixels = probe_pixels(fs, [b.features for b in pool], cfg.threads)
     accuracies = map_sources(
         lambda b: probe_transfer(b, target, cfg.sampler.seed, pixels).accuracy,
-        sources, cfg.threads)
+        pool, cfg.threads)
     probe_rank = build_ranking([(b.task_id, a)
-                                for b, a in zip(sources, accuracies)])
+                                for b, a in zip(pool, accuracies)])
     probe_acc = dict(probe_rank.entries)
     result = {
         "comparison": [

@@ -17,9 +17,9 @@ trace is
     sum_k s_k^T (cov(F) + ridge*I)^-1 s_k / (n * n_k)
 
 from one batched solve against the K class columns instead of a C x C
-right-hand side.  Pixels are taken in chunks whose float64 working set
-stays under ``_CHUNK_BYTES``; each chunk is cast from the stored float32
-on its own, so memory is bounded for any grid or class count.  When
+right-hand side.  Pixels are taken in chunks of ``_CHUNK_BYTES`` of
+float64 working set, each cast from the stored float32 on its own and freed
+before the next, so memory is bounded for any grid or class count.  When
 n_samples <= C every pixel covariance is singular and only the ridge keeps
 it invertible; such pixels are counted in ``rank_deficient_pixels``.
 """
@@ -77,8 +77,9 @@ def _pixel_hscores(features: np.ndarray, labels: np.ndarray,
     """H-scores of the pixel problems ``features[:, pixels]`` [n, P, C]
     against ``labels[:, pixels]`` [n, P]; returns [P] float64.
 
-    Labels are class indices 0..K-1: the ``np.unique`` indices of the
-    classification form or the segmentation form's 0/1 foreground.
+    Labels are class indices 0..K-1, each present at every pixel: the
+    ``np.unique`` indices of the classification form or the segmentation
+    form's 0/1 foreground at pixels where both occur.
     """
     n, _, c = features.shape
     classes = np.arange(labels.max() + 1, dtype=labels.dtype)
@@ -96,8 +97,7 @@ def _pixel_hscores(features: np.ndarray, labels: np.ndarray,
         onehot = (y[:, None, :] == classes[:, None]).astype(np.float64)
         counts = onehot.sum(axis=2)                          # [p, K]
         sums = np.matmul(f, onehot.transpose(0, 2, 1))       # [p, C, K]
-        weight = np.divide(1.0, n * counts, out=np.zeros_like(counts),
-                           where=counts > 0)
+        weight = 1.0 / (n * counts)
         try:
             solved = np.linalg.solve(cov, sums)
         except np.linalg.LinAlgError:
@@ -105,6 +105,8 @@ def _pixel_hscores(features: np.ndarray, labels: np.ndarray,
                 f"a pixel feature covariance is singular at ridge {ridge:g}; "
                 f"use a ridge > 0") from None
         scores[lo:lo + step] = np.einsum("pck,pck,pk->p", sums, solved, weight)
+        # free this chunk before the next one's gather, so one chunk is held
+        del f, cov, y, onehot, counts, sums, weight, solved
     return scores
 
 
@@ -130,10 +132,10 @@ def hscore_classification(features: np.ndarray, labels: np.ndarray,
 def _memory_need(fs: PixelFeatureSet) -> int:
     """The bytes :func:`hscore_segmentation` holds at its peak, an upper
     bound: the whole float32 export it reads, the foreground and one
-    comparison of it, three float64 grids and twice a chunk's working set."""
+    comparison of it, three float64 grids and one chunk's working set."""
     (n, h, w), c = fs.aligned_labels.masks.shape, fs.channels
     chunk = min(_chunk_pixels(n, c, 2), h * w) * _pixel_bytes(n, c, 2)
-    return n * h * w * (4 * c + 2) + 24 * h * w + 2 * chunk
+    return n * h * w * (4 * c + 2) + 24 * h * w + chunk
 
 
 def check_hscore_memory(sets: list[PixelFeatureSet], threads: int = 1) -> None:

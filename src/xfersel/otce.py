@@ -132,14 +132,13 @@ def sinkhorn(cost: np.ndarray,
     row ``t`` of a ``[span, N_s]`` buffer and the new ``u | v`` into row
     ``t + 1`` of a ``[span + 1, N_s + N_t]`` history; ``span`` is 32, less
     once a block would sweep more than 4 MiB of kernel.  After a block one
-    multiply gives every sweep's ``u * K v``, the stop and absorption tests
-    run over it in sweep order, and the solver rewinds to the first sweep
-    that stops or absorbs, so sweeps, absorptions and the plan are bit for
-    bit those of testing after each sweep.  Absorption is searched for only
-    in a block with a scaling outside ``exp(+-(_ABSORB_LOG - 1e-3))``; the
-    sweeps after an absorption in the same block are discarded.  The
-    history and ``K v`` rows take at most 33 rows of ``N_s + N_t`` floats,
-    negligible next to the ``N_s x N_t`` kernel.
+    multiply gives every sweep's ``u * K v``; the stop and the absorption
+    are each one array test over the block, its first passing sweep wins,
+    and the solver rewinds to the first sweep that stops or absorbs, so
+    sweeps, absorptions and the plan are bit for bit those of testing after
+    each sweep.  Only a block with a scaling outside
+    ``exp(+-(_ABSORB_LOG - 1e-3))`` takes the log of its scalings.  The
+    history and ``K v`` take at most 33 rows of ``N_s + N_t`` floats.
 
     Iterations stop once the plan's worst row-marginal violation (columns
     are exact after each sweep) drops to ``marginal_tol`` or at
@@ -203,7 +202,6 @@ def sinkhorn(cost: np.ndarray,
         kv = np.empty((span, n_s))
         us, vs = [r[:n_s] for r in hist], [r[n_s:] for r in hist]
         kvs, kernel_t, ktu = list(kv), kernel.T, np.empty(n_t)
-        log_scale, spread = np.empty(n_s + n_t), np.empty(n_s + n_t)
         # every scaling inside [lo, hi] is well inside the absorption bound
         hi = math.exp(_ABSORB_LOG - 1e-3)
         lo = 1.0 / hi
@@ -226,20 +224,16 @@ def sinkhorn(cost: np.ndarray,
                 passed = (peak - a0 <= tol) & (a0 - rows.min(axis=1) <= tol)
                 stop = int(passed.argmax()) if passed.any() else steps
             # the first sweep before the stop whose scalings absorb; only a
-            # block with a scaling outside [lo, hi] (or NaN) is searched
+            # block with a scaling outside [lo, hi] (or NaN) takes the log
             absorb = steps
             swept = hist[1:stop + 1]
             if stop and not (lo <= swept.min() and swept.max() <= hi):
-                for t in range(stop):
-                    np.log(hist[t + 1], out=log_scale)
-                    if np.maximum.reduce(np.absolute(log_scale, out=spread)) \
-                            > _ABSORB_LOG:
-                        absorb = t
-                        break
+                far = np.abs(np.log(swept)).max(axis=1) > _ABSORB_LOG
+                absorb = int(far.argmax()) if far.any() else steps
             if absorb < steps:
                 sweeps += absorb + 1
-                f += log_scale[:n_s]
-                g += log_scale[n_s:]
+                f += np.log(us[absorb + 1])
+                g += np.log(vs[absorb + 1])
                 _fill_kernel(kernel, cost, eps, f, g, blocks)
                 hist[0] = 1.0
                 continue

@@ -15,7 +15,7 @@ import pytest
 
 from xfersel.bundle import load_bundle, write_bundle
 from xfersel.hscore import HScoreReport
-from xfersel.otce import TransportPlan
+from xfersel.otce import SinkhornParams, TransportPlan
 from xfersel.pipeline import SelectionReport
 from xfersel.roisim import RoiSimReport
 
@@ -41,6 +41,7 @@ def test_traced_function_resolves(module, attr):
 @pytest.mark.parametrize("report, field", [
     (TransportPlan, "iterations_used"),
     (TransportPlan, "final_marginal_error"),
+    (SinkhornParams, "marginal_tol"),
     (RoiSimReport, "n_pairs"),
     (HScoreReport, "skipped_pixels"),
     (SelectionReport, "subset2"),
