@@ -15,19 +15,19 @@ share across threads.
 One reader, ``_Payload``, serves both files: ``check`` validates the header
 and the payload length and records the file's identity (device, inode,
 size, mtime); one loop, ``_Payload.blocks``, then makes every read, one
-``preadv`` per block of a run of consecutive rows (the whole payload is
-one run).  :func:`load_bundle` reads the labels whole and leaves the
+``preadv`` per block of consecutive rows of the whole payload or per
+sampled row.  :func:`load_bundle` reads the labels whole and leaves the
 features payload on disk, checking its finiteness in one pass through a
 reused buffer.  :func:`flatten_pixels` reads only the rows it samples,
-an isolated one in a ``preadv`` of its own, and ``pixel_rows`` picks
-rows by numpy's own rule for both stores; ``PixelFeatureSet.features``
-reads the whole array at each use and keeps no copy.  Each read checks
-the identity again, that it did not come up short (``read short at byte
-<P>``, where the data ran out) and that the features it read are finite,
-so a ``features.bin`` changed after loading is ``CorruptBinary``
-(``NonFiniteFeature`` for a NaN written without changing its size or
-mtime, ``IoFailure`` once deleted).  :func:`write_bundle` writes each
-header and then the array's own buffer, so it holds no copy of a payload.
+each in a ``preadv`` of its own, and ``pixel_rows`` picks rows by numpy's
+own rule for both stores; ``PixelFeatureSet.features`` reads the whole
+array at each use and keeps no copy.  Each read checks the identity again,
+that it did not come up short (``read short at byte <P>``, where the data
+ran out) and that the features it read are finite, so a ``features.bin``
+changed after loading is ``CorruptBinary`` (``NonFiniteFeature`` for a
+NaN written without changing its size or mtime, ``IoFailure`` once
+deleted).  :func:`write_bundle` writes each header and then the array's
+own buffer, so it holds no copy of a payload.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ FORMAT_VERSION = 1
 
 # the features payload's element type, float32 little-endian
 _FEATURE_DTYPE = np.dtype("<f4")
-# bytes a streaming pass or a run of consecutive rows reads at a time
+# bytes a streaming pass reads at a time
 _READ_BYTES = 256 << 10
 
 MANIFEST_NAME = "manifest.json"
@@ -463,23 +463,16 @@ class _Payload:
         """The one read loop: read the whole payload, or the non-negative
         ``rows`` of the [n, C] view, into ``out`` or, when None, through one
         reused buffer, and yield each block as it lands.  A block is one
-        ``preadv`` of a run of consecutive rows (the whole payload is one
-        run), cut so that none passes ``_READ_BYTES`` (or one row).  A read
-        that comes up short names the byte where the data ran out."""
+        ``preadv``: of consecutive rows of the whole payload, cut so that
+        none passes ``_READ_BYTES`` (or one row), or of one sampled row.  A
+        read that comes up short names the byte where the data ran out."""
         *lead, width = self.dims
         n, row = math.prod(lead), width * self.dtype.itemsize
         step = max(_READ_BYTES // row, 1)
         if rows is None:
             cuts = [(i, i, min(step, n - i)) for i in range(0, n, step)]
         else:
-            # a run starts where a row is not the one after the last; a
-            # block starts every ``step`` rows into a run
-            rows, at = rows.reshape(-1), np.arange(rows.size)
-            run_at = np.maximum.accumulate(
-                at * (np.diff(rows, prepend=rows[:1]) != 1))
-            places = np.flatnonzero((at - run_at) % step == 0)
-            cuts = zip(rows[places].tolist(), places.tolist(),
-                       np.diff(places, append=rows.size).tolist())
+            cuts = [(r, i, 1) for i, r in enumerate(rows.reshape(-1).tolist())]
         into = (np.empty((min(step, n), width), self.dtype) if out is None
                 else out.reshape(-1, width))
         with _opened(self.file, self.identity) as fh:
@@ -519,6 +512,10 @@ class ManifestFiles:
 
     def __post_init__(self):
         check_fields(self)
+        for key, name in vars(self).items():
+            if name in ("", "..") or name and name != Path(name).name:
+                raise InvalidSpecError(f"{key} must be a file name in the "
+                                       f"bundle directory, got {name!r}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -7,9 +7,8 @@ except ``score``'s Sinkhorn residual, in scientific notation.
 Every run echoes its effective configuration (a ``# config:`` line in csv
 format, a ``config`` object in json format); the echo excludes ``--threads``
 so output files are byte-identical at any parallelism.
-``synth-eval --metric hscore`` scores each source as its own target: one
-extractor is shared across a synthetic pool, so a source's own export
-carries its signal.
+``synth-eval --metric hscore`` calls the H-score on each source's own
+export, which carries its signal: one extractor is shared across a pool.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .errors import (
     UnknownTaskError,
     XferselError,
 )
-# unused here, but bench/layers.py traces xfersel.cli.hscore_segmentation
 from .hscore import HScoreParams, check_hscore_memory, hscore_segmentation
 from .otce import SinkhornParams
 from .pipeline import (
@@ -208,7 +206,7 @@ def cmd_select(args) -> int:
               "sources": str(args.sources), "seed": args.seed,
               "scores_file": str(args.scores_file) if args.scores_file else None,
               **report.config.to_dict()}
-    shown = list(enumerate(report.final_ranking.entries[:args.top_k], 1))
+    shown = list(enumerate(report.final_ranking.entries[:report.config.top_k], 1))
     _emit(args, config,
           {"top_k": [{"rank": r, "task_id": t, "score": s}
                      for r, (t, s) in shown],
@@ -272,8 +270,8 @@ def cmd_synth_eval(args) -> int:
     if cfg.metric is Metric.HSCORE:
         check_hscore_memory(
             [b.features for b in pool if b.features is not None], cfg.threads)
-        reports = map_sources(lambda b: score_sources([b], b, cfg)[0],
-                              pool, cfg.threads)
+        reports = map_sources(lambda b: hscore_segmentation(
+            b.require_features("hscore"), cfg.hscore_params), pool, cfg.threads)
         scores = {b.task_id: r.score for b, r in zip(pool, reports)}
     metric_rank = select(bundles, target, cfg, scores=scores).final_ranking
     pixels = probe_pixels(fs, [b.features for b in pool], cfg.threads)
@@ -337,34 +335,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roi-sim", help="RoI shape similarity of two bundles")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--mode", choices=("paired", "mean"), default="paired")
+    p.add_argument("--mode", choices=[m.value for m in PairingMode],
+                   default="paired")
     p.add_argument("--pairs", type=int, default=DEFAULT_MAX_PAIRS)
     p.set_defaults(func=cmd_roi_sim)
 
     p = sub.add_parser("score", help="transferability score of a source/target pair")
-    p.add_argument("--metric", choices=("hscore", "otce"), required=True)
+    p.add_argument("--metric", choices=[m.value for m in Metric], required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--max-pixels", type=int, default=4096)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--ridge", type=float, default=1e-8)
+    p.add_argument("--max-pixels", type=int, default=SubsampleSpec.max_pixels)
+    p.add_argument("--epsilon", type=float, default=SinkhornParams.epsilon)
+    p.add_argument("--ridge", type=float, default=HScoreParams.ridge)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("select", help="rank a pool of sources for a target")
     p.add_argument("--target", required=True)
     p.add_argument("--sources", required=True,
                    help="directory of bundle directories")
-    p.add_argument("--path", choices=("guided", "baseline"), default="guided")
-    p.add_argument("--metric", choices=("hscore", "otce"), required=True)
+    p.add_argument("--path", choices=[m.value for m in SelectionPath],
+                   default="guided")
+    p.add_argument("--metric", choices=[m.value for m in Metric], required=True)
     p.add_argument("--top-k", type=int, default=1)
     p.add_argument("--roi-keep", type=int, default=1)
     p.add_argument("--fallback-all", action="store_true",
                    help="fall back to the whole pool when no modality matches")
     p.add_argument("--scores-file", default=None,
                    help="CSV of externally computed scores, bypassing metrics")
-    p.add_argument("--max-pixels", type=int, default=4096)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--ridge", type=float, default=1e-8)
+    p.add_argument("--max-pixels", type=int, default=SubsampleSpec.max_pixels)
+    p.add_argument("--epsilon", type=float, default=SinkhornParams.epsilon)
+    p.add_argument("--ridge", type=float, default=HScoreParams.ridge)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("footrule", help="rank distance between two ranking CSVs")
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare a metric ranking against the probe oracle")
     p.add_argument("--dir", required=True)
     p.add_argument("--target", required=True, help="target task id")
-    p.add_argument("--metric", choices=("hscore", "otce"), required=True)
+    p.add_argument("--metric", choices=[m.value for m in Metric], required=True)
     p.add_argument("--max-pixels", type=int, default=512)
     p.set_defaults(func=cmd_synth_eval)
 

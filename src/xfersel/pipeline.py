@@ -222,8 +222,8 @@ def select(pool: list[TaskBundle], target: TaskBundle, cfg: SelectionConfig,
     dropped before any filtering.  ``scores`` injects externally computed
     per-source metric scores and bypasses metric computation, which lets the
     ranking/evaluation layer run on published score tables without any
-    trained models, and ``synth-eval`` rank each source's own-export
-    H-score.  Per-source scoring is parallelized over
+    trained models, and ``synth-eval`` rank the H-score it computes on
+    each source's own export.  Per-source scoring is parallelized over
     ``cfg.threads``; results are assembled in pool order, so reports are
     byte-identical at any thread count.
     """

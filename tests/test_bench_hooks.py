@@ -13,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from xfersel import cli
 from xfersel.bundle import load_bundle, write_bundle
 from xfersel.hscore import HScoreReport
 from xfersel.otce import SinkhornParams, TransportPlan
 from xfersel.pipeline import SelectionReport
 from xfersel.roisim import RoiSimReport
+from xfersel.synth import SynthSpec, generate_tasks
 
 from conftest import make_bundle
 
@@ -61,3 +63,26 @@ def test_tracer_reads_on_loaded_bundles(tmp_path, read, value, want):
     assert read in LAYERS.read_text()
     write_bundle(make_bundle(n=3, h=8, w=8, c=4), tmp_path / "b")
     assert value(load_bundle(tmp_path / "b")) == want
+
+
+def test_synth_eval_hscore_calls_the_traced_name(tmp_path, monkeypatch,
+                                                 capsys):
+    # the tracer bills xfersel.cli.hscore_segmentation to the H-score layer,
+    # so synth-eval must reach the H-score through that name, once a source
+    spec = SynthSpec(n_tasks=4, n_samples=4, height=8, width=8, channels=2,
+                     signal_strengths=(0.2, 1.0, 0.8, 0.5))
+    for b in generate_tasks(spec):
+        write_bundle(b, tmp_path / "pool" / b.task_id)
+    scored = []
+    original = cli.hscore_segmentation
+
+    def counted(fs, params):
+        scored.append(fs.task_id)
+        return original(fs, params)
+
+    monkeypatch.setattr(cli, "hscore_segmentation", counted)
+    code = cli.main(["--threads", "1", "synth-eval", "--dir",
+                     str(tmp_path / "pool"), "--target", "synth-00-s0.20",
+                     "--metric", "hscore"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert scored == ["synth-01-s1.00", "synth-02-s0.80", "synth-03-s0.50"]

@@ -618,13 +618,11 @@ class TestFlattenPixels:
             np.testing.assert_array_equal(got_labels, want_labels)
 
     @pytest.mark.parametrize("c", [4, 600])
-    def test_one_read_per_run_of_consecutive_rows(self, tmp_path, monkeypatch,
-                                                  c):
-        # each run of consecutive rows is one pread, split so that no read
-        # passes max(_READ_BYTES, row) bytes: of the 9 rows drawn, rows 47
-        # and 48 form one run; 100 consecutive rows with 300-byte reads are
-        # 6 reads of up to 18 rows at 4 channels, 100 reads of one
-        # 2400-byte row at 600 channels
+    def test_one_read_per_sampled_row(self, tmp_path, monkeypatch, c):
+        # each sampled row is one pread, consecutive or not; a whole-payload
+        # read is cut so that no read passes max(_READ_BYTES, row) bytes:
+        # 192 rows with 300-byte reads are 11 reads of up to 18 rows at 4
+        # channels, 192 reads of one 2400-byte row at 600 channels
         b = make_bundle(n=3, h=8, w=8, c=c)
         write_bundle(b, tmp_path / "b")
         loaded = load_bundle(tmp_path / "b")
@@ -637,18 +635,21 @@ class TestFlattenPixels:
             return preadv(fd, buffers, offset)
 
         monkeypatch.setattr(os, "preadv", counted)
-        rows = np.asarray(subsample_reference(192, 9, 0), dtype=np.int64)
+        for rows in (np.arange(10, 110), np.array([47, 48, 3, 190, 47])):
+            sizes.clear()
+            got = loaded.features.pixel_rows(rows)
+            assert sizes == [row] * len(rows)
+            assert got.tobytes() == b.features.pixel_rows(rows).tobytes()
+        sizes.clear()
         flatten_pixels(loaded.features, SubsampleSpec(max_pixels=9, seed=0))
-        assert len(sizes) == 1 + int((np.diff(rows) != 1).sum())
-        assert max(sizes) <= max(bundle_module._READ_BYTES, row)
+        assert sizes == [row] * 9
 
         sizes.clear()
         monkeypatch.setattr(bundle_module, "_READ_BYTES", 300)
-        block = np.arange(10, 110)
-        got = loaded.features.pixel_rows(block)
-        assert len(sizes) == -(-100 // max(300 // row, 1))
-        assert max(sizes) <= max(300, row) and sum(sizes) == 100 * row
-        assert got.tobytes() == b.features.pixel_rows(block).tobytes()
+        got = loaded.features.pixel_rows()
+        assert len(sizes) == {4: 11, 600: 192}[c]
+        assert max(sizes) <= max(300, row) and sum(sizes) == 192 * row
+        assert got.tobytes() == b.features.pixel_rows().tobytes()
 
     @pytest.mark.parametrize("rows", [[5, 2], [3, 3, 7], [0, 31, 1]],
                              ids=["descending", "duplicates", "unsorted"])

@@ -662,6 +662,12 @@ def _usage(*argv):
      "positive_class must be a uint8 label in 0..255, got -1"),
     (_manifest_key("files.labels", "missing.bin"), "MissingManifest",
      "referenced labels file missing: "),
+    *((_manifest_key(f"files.{key}", name), "MissingManifest",
+       f"manifest key files.{key} must be a file name in the bundle "
+       f"directory, got {name!r}\n")
+      for key in ("labels", "features")
+      for name in (f"../x/{key}.bin", f"/x/{key}.bin", f"sub/{key}.bin",
+                   ".", "..", "")),
     (_manifest_key("n_samples", lambda m: m["n_samples"] + 1),
      "ShapeMismatch", "labels (3, 8, 8) disagree with manifest (4, 8, 8)"),
     (_manifest_key("channels", lambda m: m["channels"] + 1), "ShapeMismatch",
@@ -735,7 +741,11 @@ def _usage(*argv):
         "manifest-files-features-list", "manifest-positive-class-str",
         "manifest-positive-class-null", "manifest-positive-class-float",
         "manifest-positive-class-300", "manifest-positive-class-negative",
-        "manifest-labels-file-missing", "manifest-n-samples-disagree",
+        "manifest-labels-file-missing",
+        *(f"manifest-files-{key}-{case}" for key in ("labels", "features")
+          for case in ("parent", "absolute", "subdirectory", "dot",
+                       "dot-dot", "empty")),
+        "manifest-n-samples-disagree",
         "manifest-channels-disagree", "manifest-task-id-list",
         "manifest-task-id-newline",
         "manifest-roi-class-object", "manifest-height-float",

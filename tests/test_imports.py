@@ -45,12 +45,6 @@ UNCHECKED = {
                   "filter's MissingLabels",
 }
 
-# (module, name) -> why the import stays although the module never reads it
-KEPT = {
-    ("cli", "hscore_segmentation"):
-        "bench/layers.py wraps xfersel.cli.hscore_segmentation by name",
-}
-
 
 def _unused_imports(source: str) -> set[str]:
     tree = ast.parse(source)
@@ -69,8 +63,7 @@ def _unused_imports(source: str) -> set[str]:
     p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"),
     ids=lambda p: p.stem)
 def test_no_unused_import(path):
-    unused = {name for name in _unused_imports(path.read_text())
-              if (path.stem, name) not in KEPT}
+    unused = _unused_imports(path.read_text())
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
 
 
