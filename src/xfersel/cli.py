@@ -389,6 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# C0 control characters and DEL as Python writes them in a string literal
+# (\n, \t, \x1b, ...), so that a path or manifest value holding one still
+# makes one ERROR line
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), 0x7f)}
+
+
+def _error(code: str, detail: str) -> None:
+    sys.stderr.write(f"ERROR {code}: {detail.translate(_ESCAPES)}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -397,8 +407,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"argument --threads: must be >= 1, got {args.threads}")
         return args.func(args)
     except XferselError as exc:
-        sys.stderr.write(f"ERROR {exc.code}: {exc.detail}\n")
+        _error(exc.code, exc.detail)
         return exc.exit_code
     except OSError as exc:
-        sys.stderr.write(f"ERROR IoFailure: {exc}\n")
+        _error("IoFailure", str(exc))
         return 2

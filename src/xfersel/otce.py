@@ -65,7 +65,7 @@ class OtceReport:
 
 
 # float64 bytes of one row block of an N_s x N_t array; every N x N step
-# other than the cost and the kernel runs one such block at a time
+# other than the kernel runs one such block at a time
 _BLOCK_BYTES = 1 << 18
 
 
@@ -74,26 +74,64 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
+class RowBlockCost:
+    """Pairwise squared Euclidean distances between two pixel lists, built
+    one row block at a time and never held whole.
+
+    ``cost[rows]`` is ``-2 a[rows] b^T + (|a[rows]|^2 + |b|^2)``, clamped at
+    0, a fresh ``[rows, N_t]`` float64 array; ``cost.shape`` is
+    ``(N_s, N_t)``.  Only the two float64 lists and their squared norms are
+    kept.  The matmul runs per block because ``a[rows] @ b^T`` is not bit
+    for bit ``(a @ b^T)[rows]`` on every shape: this is the one definition
+    of the cost, and :func:`cost_matrix` writes out the same blocks.
+    """
+
+    def __init__(self, src: np.ndarray, tgt: np.ndarray):
+        a = np.asarray(src, dtype=np.float64)
+        b = np.asarray(tgt, dtype=np.float64)
+        if a.ndim != 2 or b.ndim != 2:
+            raise DimensionMismatchError("feature lists must be 2-D [N, C]")
+        same_channels(a.shape[1], b.shape[1])
+        if a.shape[0] == 0 or b.shape[0] == 0:
+            raise DimensionMismatchError("feature lists must be non-empty")
+        self.a, self.b = a, b
+        self.sq_a = (a * a).sum(axis=1)
+        self.sq_b = (b * b).sum(axis=1)
+        self.shape = (a.shape[0], b.shape[0])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        block = self.a[rows] @ self.b.T
+        block *= -2.0
+        block += self.sq_a[rows, None] + self.sq_b
+        return np.maximum(block, 0.0, out=block)
+
+    def weighted_sum(self, weights: np.ndarray) -> float:
+        """``sum_ij w_ij C_ij`` without the cost: ``r . |a|^2 + c . |b|^2 -
+        2 sum_ij w_ij a_i . b_j``, with ``r``, ``c`` the row and column sums
+        of ``w``.
+
+        The cross term is one ``vdot`` per row block against ``a[rows] b^T``,
+        so the matmul runs on the features and never on ``w``, whose
+        subnormal entries would slow it.  The clamp at 0 is left out.
+        """
+        cross = 0.0
+        for rows in _row_blocks(*self.shape):
+            cross += np.vdot(weights[rows], self.a[rows] @ self.b.T)
+        return float(np.dot(weights.sum(axis=1), self.sq_a)
+                     + np.dot(weights.sum(axis=0), self.sq_b) - 2.0 * cross)
+
+
 def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, [N_s, N_t], clamped at 0.
 
-    Built in the one result array: ``-2 a b^T`` by matmul, then the squared
-    norms added one row block at a time.
+    The rows of :class:`RowBlockCost` written out block by block, so the
+    array holds the very bits that ``sinkhorn`` builds from the lists.
     """
-    a = np.asarray(src, dtype=np.float64)
-    b = np.asarray(tgt, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatchError("feature lists must be 2-D [N, C]")
-    same_channels(a.shape[1], b.shape[1])
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise DimensionMismatchError("feature lists must be non-empty")
-    sq_a = (a * a).sum(axis=1)
-    sq_b = (b * b).sum(axis=1)
-    cost = a @ b.T
-    cost *= -2.0
+    cost = RowBlockCost(src, tgt)
+    out = np.empty(cost.shape)
     for rows in _row_blocks(*cost.shape):
-        cost[rows] += sq_a[rows, None] + sq_b
-    return np.maximum(cost, 0.0, out=cost)
+        out[rows] = cost[rows]
+    return out
 
 
 # Scalings are folded into the log potentials once either leaves
@@ -106,14 +144,17 @@ _SPAN = 32
 _SPAN_BYTES = 1 << 22
 
 
-def sinkhorn(cost: np.ndarray,
+def sinkhorn(cost: np.ndarray | RowBlockCost,
              params: SinkhornParams = SinkhornParams()) -> TransportPlan:
     """Entropic OT with uniform marginals by alternating marginal scaling.
 
     Parameters
     ----------
-    cost : ndarray [N_s, N_t]
-        Finite ground costs, used as given (no normalization).
+    cost : ndarray [N_s, N_t] or RowBlockCost
+        Finite ground costs, used as given (no normalization).  A
+        :class:`RowBlockCost` is read one row block at a time and gives the
+        same plan, bit for bit, as the array :func:`cost_matrix` makes of
+        the same lists.
     params : SinkhornParams
         ``epsilon`` weights the entropy term.
 
@@ -123,10 +164,11 @@ def sinkhorn(cost: np.ndarray,
     potentials and ``K`` is rebuilt from ``cost`` (Schmitzer 2019).
 
     ``K`` is the only N_s x N_t array allocated here and becomes the plan's
-    coupling; the log-sum-exp set-up and every rebuild run one row block at
-    a time in it, so ``cost`` is never modified.  The set-up leaves
-    ``-C/eps + f`` in ``K``, so the first kernel only adds ``g`` and
-    exponentiates in place.
+    coupling; the log-sum-exp set-up and every rebuild take ``cost[rows]``
+    one row block at a time into it, so ``cost`` is never modified, and a
+    :class:`RowBlockCost` makes ``K`` the only N_s x N_t array of a pair.
+    The set-up leaves ``-C/eps + f`` in ``K``, so the first kernel only
+    adds ``g`` and exponentiates in place.
 
     A sweep allocates nothing and makes four calls, writing ``K v`` into
     row ``t`` of a ``[span, N_s]`` buffer and the new ``u | v`` into row
@@ -151,9 +193,10 @@ def sinkhorn(cost: np.ndarray,
     potentials after the set-up, or a final residual that is not finite or
     exceeds the plan's unit mass, raise ``DegenerateInputError``.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.size == 0:
-        raise NonFiniteCostError("cost must be a non-empty 2-D matrix")
+    if not isinstance(cost, RowBlockCost):
+        cost = np.asarray(cost, dtype=np.float64)
+        if cost.ndim != 2 or cost.size == 0:
+            raise NonFiniteCostError("cost must be a non-empty 2-D matrix")
 
     eps = params.epsilon
     n_s, n_t = cost.shape
@@ -170,9 +213,10 @@ def sinkhorn(cost: np.ndarray,
         f = np.empty(n_s)
         col_peak = np.full(n_t, -np.inf)
         for rows in blocks:
-            if not np.isfinite(cost[rows]).all():
+            block = cost[rows]
+            if not np.isfinite(block).all():
                 raise NonFiniteCostError("cost matrix contains NaN/Inf")
-            block = np.divide(cost[rows], -eps, out=kernel[rows])
+            block = np.divide(block, -eps, out=kernel[rows])
             peak = block.max(axis=1)
             shifted = block - peak[:, None]
             np.exp(shifted, out=shifted)
@@ -256,7 +300,8 @@ def sinkhorn(cost: np.ndarray,
                          final_marginal_error=float(err))
 
 
-def _fill_kernel(kernel: np.ndarray, cost: np.ndarray, epsilon: float,
+def _fill_kernel(kernel: np.ndarray, cost: np.ndarray | RowBlockCost,
+                 epsilon: float,
                  f: np.ndarray, g: np.ndarray, blocks: list[slice]) -> None:
     """``kernel = exp(-cost/epsilon + f + g)`` in place, one row block at a
     time."""
@@ -343,18 +388,19 @@ def otce_target(target: PixelFeatureSet, sources: list[PixelFeatureSet],
                 threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The target's pixels, flattened once for pairing with every source.
 
-    Each pair holds two float64 N_s x N_t arrays (cost and kernel), so
-    ``min(threads, len(sources))`` pairs at once need about
-    ``2 * N_s * N_t * 8`` bytes each, from the post-subsample sizes.  When
-    that is more than the available memory this raises ``InvalidSpecError``
-    before anything is allocated.
+    Each pair holds one float64 N_s x N_t array, the kernel that becomes the
+    plan: its cost is a :class:`RowBlockCost`, built one row block at a time
+    from the pixel lists.  So ``min(threads, len(sources))`` pairs at once
+    need about ``N_s * N_t * 8`` bytes each, from the post-subsample sizes.
+    When that is more than the available memory this raises
+    ``InvalidSpecError`` before anything is allocated.
     """
     def kept(fs):
         return min(fs.n_pixels, sampler.max_pixels)
 
     n_s, n_t = max(map(kept, sources)), kept(target)
     pairs = max(1, min(threads, len(sources)))
-    require_memory(2 * n_s * n_t * 8 * pairs,
+    require_memory(n_s * n_t * 8 * pairs,
                    f"OTCE of {pairs} concurrent {n_s} x {n_t} pixel pair(s)",
                    "; lower --max-pixels")
     return flatten_pixels(target, sampler)
@@ -367,23 +413,23 @@ def otce(source: PixelFeatureSet, target: PixelFeatureSet,
          ) -> OtceReport:
     """End-to-end OTCE between a source and a target pixel feature set.
 
-    Both sets must come from the same extractor (:func:`cost_matrix` enforces
-    equal channel counts; provenance is the caller's contract).  Each side is
-    flattened and, above ``sampler.max_pixels``, subsampled with the same
-    spec applied independently per side.  ``target_pixels`` is the target
-    already flattened by :func:`otce_target`, which a caller pairing one
-    target with many sources passes to flatten it only once.
+    Both sets must come from the same extractor (:class:`RowBlockCost`
+    enforces equal channel counts; provenance is the caller's contract).
+    Each side is flattened and, above ``sampler.max_pixels``, subsampled
+    with the same spec applied independently per side.  ``target_pixels`` is
+    the target already flattened by :func:`otce_target`, which a caller
+    pairing one target with many sources passes to flatten it only once.
     """
     if target_pixels is None:
         target_pixels = otce_target(target, [source], sampler)
     src_feats, src_labels = flatten_pixels(source, sampler)
     tgt_feats, tgt_labels = target_pixels
 
-    cost = cost_matrix(src_feats, tgt_feats)
+    cost = RowBlockCost(src_feats, tgt_feats)
     plan = sinkhorn(cost, params)
     joint = joint_label_distribution(plan, src_labels, tgt_labels)
     score = otce_from_joint(joint)
-    ot_cost = float(np.vdot(plan.coupling, cost))
+    ot_cost = cost.weighted_sum(plan.coupling)
     return OtceReport(score=score, ot_cost=ot_cost,
                       iterations_used=plan.iterations_used,
                       final_marginal_error=plan.final_marginal_error)

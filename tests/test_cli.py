@@ -774,6 +774,38 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv,
     assert detail in err
 
 
+def _source_path_with_newline(tmp_path, monkeypatch):
+    write_bundle(make_bundle(), tmp_path / "b")
+    return ["roi-sim", "--source", str(tmp_path / "x\ny"),
+            "--target", str(tmp_path / "b")]
+
+
+@pytest.mark.parametrize("make_argv, error, detail", [
+    (_manifest_key("files.labels", "labels\nbin"), "MissingManifest",
+     "referenced labels file missing: "),
+    (_source_path_with_newline, "MissingManifest", "x\\ny"),
+], ids=["manifest-files-labels-newline", "source-path-newline"])
+def test_control_characters_escaped_in_error_line(tmp_path, capsys,
+                                                  monkeypatch, make_argv,
+                                                  error, detail):
+    code, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ERROR {error}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert detail in err
+
+
+def test_error_line_escapes_c0_and_del_only(capsys, monkeypatch):
+    # the OSError branch, and text that is not a control character is kept
+    def fail(args):
+        raise OSError("a\tb\x1b\x7f\r\u00e9\\")
+    monkeypatch.setattr("xfersel.cli.cmd_footrule", fail)
+    code, out, err = run(capsys, "footrule", "--pred", "p", "--truth", "t")
+    assert (code, out) == (2, "")
+    assert err == "ERROR IoFailure: a\\tb\\x1b\\x7f\\r\u00e9\\\n"
+
+
 def _truncate(f):
     os.truncate(f, f.stat().st_size - 4)
 

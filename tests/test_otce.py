@@ -16,8 +16,10 @@ from xfersel.errors import (
     NonFiniteCostError,
     XferselError,
 )
+from xfersel.bundle import flatten_pixels
 from xfersel.otce import (
     JointLabelDistribution,
+    RowBlockCost,
     SinkhornParams,
     TransportPlan,
     cost_matrix,
@@ -217,6 +219,56 @@ class TestSinkhorn:
         assert plan.iterations_used == sweeps
         np.testing.assert_array_equal(plan.coupling, expected)
 
+    @given(n_s=st.integers(1, 24), n_t=st.integers(1, 24),
+           block_rows=st.integers(1, 24),
+           epsilon=st.sampled_from([0.005, 0.02, 0.1, 0.5]),
+           max_iters=st.integers(1, 300),
+           span=st.one_of(st.integers(1, 8), st.just(300)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_row_block_cost_matches_its_matrix(self, n_s, n_t, block_rows,
+                                               epsilon, max_iters, span,
+                                               seed):
+        # the set-up and every absorption's rebuild read the lists' rows
+        # where they read the array's, so no bit of the plan moves
+        rng = np.random.Generator(np.random.Philox(seed))
+        channels = int(rng.integers(1, 5))
+        src = rng.standard_normal((n_s, channels))
+        tgt = rng.standard_normal((n_t, channels)) + 0.5
+        params = SinkhornParams(epsilon=epsilon, max_iters=max_iters)
+        with mock.patch.object(otce_module, "_BLOCK_BYTES",
+                               block_rows * 8 * n_t), \
+                mock.patch.object(otce_module, "_SPAN", span):
+            lazy = sinkhorn(RowBlockCost(src, tgt), params)
+            dense = sinkhorn(cost_matrix(src, tgt), params)
+        assert lazy.iterations_used == dense.iterations_used
+        assert lazy.final_marginal_error == dense.final_marginal_error
+        np.testing.assert_array_equal(lazy.coupling, dense.coupling)
+
+    @pytest.mark.parametrize("epsilon, max_iters, converges, absorbs", [
+        (0.1, 1000, True, False), (0.005, 1000, False, True),
+        (0.01, 7, False, False)],
+        ids=["converged", "absorbing", "budget-bound"])
+    def test_row_block_cost_runs_of_each_kind(self, monkeypatch, epsilon,
+                                              max_iters, converges, absorbs):
+        # the property's three kinds of run, each shown to be that kind
+        monkeypatch.setattr(otce_module, "_BLOCK_BYTES", 4 * 8 * 13)
+        monkeypatch.setattr(otce_module, "_SPAN", 3)
+        rng = np.random.Generator(np.random.Philox(39))
+        src = rng.standard_normal((11, 2))
+        tgt = rng.standard_normal((13, 2)) + 0.5
+        params = SinkhornParams(epsilon=epsilon, max_iters=max_iters)
+        fill = otce_module._fill_kernel
+        rebuilds = []
+        monkeypatch.setattr(otce_module, "_fill_kernel",
+                            lambda *args: rebuilds.append(1) or fill(*args))
+        lazy = sinkhorn(RowBlockCost(src, tgt), params)
+        assert (lazy.iterations_used < max_iters) == converges
+        assert bool(rebuilds) == absorbs
+        dense = sinkhorn(cost_matrix(src, tgt), params)
+        assert lazy.iterations_used == dense.iterations_used
+        np.testing.assert_array_equal(lazy.coupling, dense.coupling)
+
     def test_feasibility_on_random_costs(self):
         rng = np.random.Generator(np.random.Philox(24))
         for _ in range(20):
@@ -414,9 +466,9 @@ class TestOtcePipeline:
         with pytest.raises(DimensionMismatchError):
             otce(src, tgt)
 
-    def test_pair_holds_two_arrays(self):
-        # cost and kernel are the only 1024 x 1024 float64 arrays of a pair;
-        # every other N x N step runs in row blocks
+    def test_pair_holds_one_array(self):
+        # the kernel is the only 1024 x 1024 float64 array of a pair; the
+        # cost and every other N x N step run in row blocks
         rng = np.random.Generator(np.random.Philox(40))
         src = feature_set(rng.standard_normal((4, 16, 16, 4)),
                           rng.integers(0, 3, (4, 16, 16)), "s")
@@ -429,13 +481,38 @@ class TestOtcePipeline:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * 1024 * 1024 * 8
+        assert peak < 1.25 * 1024 * 1024 * 8
+
+    @pytest.mark.parametrize("shape, channels, params", [
+        ((3, 10, 10), 16, SinkhornParams()),
+        ((2, 8, 8), 128, SinkhornParams()),
+    ], ids=["300-px", "budget-bound-subnormal"])
+    def test_ot_cost_matches_plan_against_cost_matrix(self, shape, channels,
+                                                      params):
+        # the 300-px lists are a shape where a row block's matmul is not
+        # the whole matmul's rows; the 128-px plan spends its budget with
+        # subnormal entries
+        rng = np.random.Generator(np.random.Philox(43))
+        src = feature_set(rng.standard_normal((*shape, channels)),
+                          rng.integers(0, 2, shape), "s")
+        tgt = feature_set(rng.standard_normal((*shape, channels)) + 0.5,
+                          rng.integers(0, 2, shape), "t")
+        sampler = SubsampleSpec()
+        report = otce(src, tgt, sampler, params)
+        cost = cost_matrix(flatten_pixels(src, sampler)[0],
+                           flatten_pixels(tgt, sampler)[0])
+        plan = sinkhorn(cost, params).coupling
+        if channels == 128:
+            assert report.final_marginal_error > params.marginal_tol
+            assert ((plan > 0) & (plan < np.finfo(float).tiny)).any()
+        expected = np.vdot(plan, cost)
+        assert abs(report.ot_cost - expected) <= 1e-12 * abs(expected)
 
     def test_memory_estimate_over_physical_memory(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(41))
         fs = feature_set(rng.standard_normal((1, 4, 4, 2)),
                          rng.integers(0, 2, (1, 4, 4)), "s")
-        pair = 2 * 9 * 9 * 8  # cost and kernel, 9 x 9 pixels each
+        pair = 9 * 9 * 8  # the kernel of 9 x 9 pixels
         monkeypatch.setattr(otce_module, "available_memory_bytes",
                             lambda: pair - 1)
         with pytest.raises(InvalidSpecError, match="--max-pixels"):
@@ -453,7 +530,7 @@ class TestOtcePipeline:
         rng = np.random.Generator(np.random.Philox(42))
         fs = feature_set(rng.standard_normal((1, 16, 32, 2)),
                          rng.integers(0, 2, (1, 16, 32)), "s")
-        # 2 x 512 x 512 x 8 B is 4 MiB, more than the 1 MiB available
+        # 512 x 512 x 8 B is 2 MiB, more than the 1 MiB available
         with pytest.raises(InvalidSpecError,
                            match="of available memory; lower --max-pixels"):
             otce(fs, fs, SubsampleSpec(max_pixels=512))

@@ -288,7 +288,7 @@ class TestSelect:
         target = make_bundle("ET-9-T2", n=2, h=4, w=4, c=2, seed=85)
         pool = [make_bundle(f"ED-{i}-T2", n=2, h=4, w=4, c=2, seed=86 + i)
                 for i in range(3)]
-        pair = 2 * 32 * 32 * 8  # cost and kernel of one 32 x 32 pixel pair
+        pair = 32 * 32 * 8  # the kernel of one 32 x 32 pixel pair
         monkeypatch.setattr(otce_module, "available_memory_bytes",
                             lambda: 2 * pair)
 
