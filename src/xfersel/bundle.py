@@ -468,6 +468,8 @@ class _Payload:
         read that comes up short names the byte where the data ran out."""
         *lead, width = self.dims
         n, row = math.prod(lead), width * self.dtype.itemsize
+        if row == 0:  # a zero-width payload has no bytes to read
+            return
         step = max(_READ_BYTES // row, 1)
         if rows is None:
             cuts = [(i, i, min(step, n - i)) for i in range(0, n, step)]

@@ -53,7 +53,7 @@ from .ranking import (
     read_ranking_csv,
     read_scores_csv,
 )
-from .roisim import DEFAULT_MAX_PAIRS, PairingMode, roi_sim
+from .roisim import PairingMode, roi_sim
 from .synth import SynthSpec, generate_tasks, probe_pixels, probe_transfer
 
 DEFAULT_SEED = 42
@@ -158,7 +158,7 @@ def cmd_roi_sim(args) -> int:
     source = load_bundle(args.source)
     target = load_bundle(args.target)
     report = roi_sim(source.labels, target.labels, PairingMode(args.mode),
-                     seed=args.seed, max_pairs=args.pairs)
+                     seed=args.seed)
     _emit(args, _echo(args), {"roi_sim": report.score,
                               "n_pairs": report.n_pairs,
                               "source": source.task_id,
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--mode", choices=[m.value for m in PairingMode],
                    default="paired")
-    p.add_argument("--pairs", type=int, default=DEFAULT_MAX_PAIRS)
     p.set_defaults(func=cmd_roi_sim)
 
     p = sub.add_parser("score", help="transferability score of a source/target pair")

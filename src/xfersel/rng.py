@@ -45,7 +45,9 @@ def subsample_indices(n: int, k: int, seed: int) -> list[int]:
     """Choose min(k, n) of ``n`` indices without replacement, ascending.
 
     Deterministic for a given seed; see the module docstring for the exact
-    procedure.  Returns list(range(n)) when k >= n.
+    procedure.  Returns list(range(n)) when k >= n.  The virtual array is a
+    dict of the positions that hold another index; step i reads only
+    positions >= i, so of its swap only position j is stored.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be non-negative")
@@ -56,10 +58,7 @@ def subsample_indices(n: int, k: int, seed: int) -> list[int]:
     swap: dict[int, int] = {}
     selected = []
     for i, j in enumerate(draws.tolist()):
-        a_i = swap.get(i, i)
-        a_j = swap.get(j, j)
-        selected.append(a_j)
-        swap[j] = a_i
-        swap[i] = a_j
+        selected.append(swap.get(j, j))
+        swap[j] = swap.get(i, i)
     selected.sort()
     return selected

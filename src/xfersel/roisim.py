@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import LabelMaskSet
-from .errors import EmptyImageError, InvalidSpecError, ShapeMismatchError
+from .errors import EmptyImageError, ShapeMismatchError
 from .rng import subsample_indices
 
 DEFAULT_MAX_PAIRS = 256
@@ -80,8 +80,7 @@ def aligned_binary(labels: LabelMaskSet, height: int,
 
 def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
             mode: PairingMode = PairingMode.PAIRED,
-            seed: int = 42,
-            max_pairs: int = DEFAULT_MAX_PAIRS) -> RoiSimReport:
+            seed: int = 42) -> RoiSimReport:
     """RoI shape similarity between two tasks' label sets.
 
     Parameters
@@ -90,9 +89,10 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
         Each set's foreground is scored; the source's is resampled
         (nearest-neighbor) to the target shape if needed.
     mode : PairingMode
-        PAIRED draws ``min(n_s, n_t, max_pairs)`` index pairs without
-        replacement per side (seeded, ascending index order on both sides)
-        and averages their per-pair SSIM.  MEAN compares the per-pixel mean
+        PAIRED draws ``min(n_s, n_t, DEFAULT_MAX_PAIRS)`` index pairs
+        without replacement per side (seeded, ascending index order on both
+        sides; one cap for ``roi-sim`` and the guided RoI filter) and
+        averages their per-pair SSIM.  MEAN compares the per-pixel mean
         occupancy masks of the two sets with a single SSIM evaluation.
     seed : int
         Drives the paired-mode index draw; irrelevant in MEAN mode.
@@ -100,8 +100,6 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
     The mean over pairs is accumulated in fixed index order, so the result
     is bit-stable regardless of any caller-side parallelism.
     """
-    if max_pairs < 1:
-        raise InvalidSpecError(f"max_pairs must be >= 1, got {max_pairs}")
     src = aligned_binary(source, target.height, target.width)
     tgt = target.foreground
 
@@ -109,7 +107,7 @@ def roi_sim(source: LabelMaskSet, target: LabelMaskSet,
         score = ssim_global(src.mean(axis=0), tgt.mean(axis=0))
         n_pairs = 1
     else:
-        m = min(src.shape[0], tgt.shape[0], max_pairs)
+        m = min(src.shape[0], tgt.shape[0], DEFAULT_MAX_PAIRS)
         idx_src = subsample_indices(src.shape[0], m, seed)
         idx_tgt = subsample_indices(tgt.shape[0], m, seed)
         total = 0.0

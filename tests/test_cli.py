@@ -12,7 +12,7 @@ import pytest
 
 import xfersel
 from xfersel import fixtures
-from xfersel.bundle import write_bundle
+from xfersel.bundle import LABELS_MAGIC, _write_array, write_bundle
 from xfersel.cli import build_parser, main
 from xfersel.ranking import build_ranking, write_ranking_csv
 from xfersel.synth import SynthSpec, generate_tasks
@@ -72,18 +72,18 @@ class TestRoiSimCmd:
         assert f"roi_sim,{expected:.6f}" in out
 
     def test_seed_wraps_mod_2_64(self, tmp_path, capsys):
-        # a negative --seed used to overflow the vectorised pair draw
+        # a negative --seed used to overflow the vectorised pair draw; 5 of
+        # the source's 12 masks are drawn, so the draw depends on the seed
         write_bundle(make_bundle(n=12, h=4, w=4, seed=1), tmp_path / "a")
-        write_bundle(make_bundle(n=12, h=4, w=4, seed=2), tmp_path / "b")
+        write_bundle(make_bundle(n=5, h=4, w=4, seed=2), tmp_path / "b")
         results = []
-        for seed in ("-1", str(2**64 - 1)):
+        for seed in ("-1", str(2**64 - 1), "0"):
             code, out, err = run(capsys, "--seed", seed, "roi-sim",
                                  "--source", str(tmp_path / "a"),
-                                 "--target", str(tmp_path / "b"),
-                                 "--pairs", "5")
+                                 "--target", str(tmp_path / "b"))
             assert (code, err) == (0, "")
             results.append(out.splitlines()[1:])
-        assert results[0] == results[1]
+        assert results[0] == results[1] != results[2]
         assert "n_pairs,5" in results[0]
 
 
@@ -481,10 +481,34 @@ def _select_sources(kind):
     return argv
 
 
-def _roi_sim_zero_pairs(tmp_path, monkeypatch):
+def _roi_sim_pairs_flag(tmp_path, monkeypatch):
+    # the pair count is not an option: every caller draws up to 256 pairs
     write_bundle(make_bundle(), tmp_path / "b")
     return ["roi-sim", "--source", str(tmp_path / "b"),
             "--target", str(tmp_path / "b"), "--pairs", "0"]
+
+
+def _zero_width_target(command):
+    # labels of dims (2, 3, 0), as the manifest declares: a payload whose
+    # rows hold no bytes is read as an empty set, not cut into blocks
+    def argv(tmp_path, monkeypatch):
+        write_bundle(make_bundle("ED-1-T2", seed=1), tmp_path / "pool" / "s")
+        target = tmp_path / "t"
+        write_bundle(make_bundle("ET-9-T2", n=2, h=3, w=1), target)
+        _write_array(target / "labels.bin", LABELS_MAGIC,
+                     np.zeros((2, 3, 0)), np.uint8)
+        manifest = json.loads((target / "manifest.json").read_text())
+        (target / "manifest.json").write_text(
+            json.dumps({**manifest, "width": 0}))
+        source, pool = str(tmp_path / "pool" / "s"), str(tmp_path / "pool")
+        return {"roi-sim": ["roi-sim", "--source", source,
+                            "--target", str(target)],
+                "score": ["score", "--metric", "otce", "--source", source,
+                          "--target", str(target)],
+                "select": ["select", "--metric", "otce",
+                           "--target", str(target), "--sources", pool],
+                }[command]
+    return argv
 
 
 def _env_seed_not_integer(tmp_path, monkeypatch):
@@ -628,7 +652,8 @@ def _usage(*argv):
      "bad.csv: expected task_id,score,rank in every row"),
     (_bad_ranking_row(b"a,0.5,2"), "DuplicateTaskId", "bad.csv: a\n"),
     (_env_seed_not_integer, "InvalidSpec", ""),
-    (_roi_sim_zero_pairs, "InvalidSpec", ""),
+    (_roi_sim_pairs_flag, "InvalidSpec",
+     "unrecognized arguments: --pairs 0"),
     (_synth_spec(b"[1, 2]"), "InvalidSpec", ""),
     (_synth_spec(b'{"signal_strengths": 5}'), "InvalidSpec",
      "signal_strengths"),
@@ -725,6 +750,9 @@ def _usage(*argv):
     (_select_output_is_file, "IoFailure", "File exists"),
     (_threads("0"), "InvalidSpec", "--threads"),
     (_threads("-3"), "InvalidSpec", "--threads"),
+    *((_zero_width_target(command), "EmptyLabelSet",
+       "task 'ET-9-T2' has empty masks")
+      for command in ("roi-sim", "score", "select")),
 ], ids=["scores-cell", "scores-extra-cell", "scores-not-utf8",
         "scores-field-too-long", "scores-duplicate-id",
         "ranking-rank", "ranking-score", "ranking-score-nan",
@@ -763,7 +791,8 @@ def _usage(*argv):
         "score-otce-featureless-pair",
         "score-hscore-epsilon-0", "score-otce-epsilon-1e-300",
         "score-otce-epsilon-5e-324", "roi-sim-output-missing-dir",
-        "select-output-is-file", "threads-0", "threads-negative"])
+        "select-output-is-file", "threads-0", "threads-negative",
+        "roi-sim-zero-width", "score-zero-width", "select-zero-width"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, make_argv,
                               error, detail):
     code, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
@@ -1186,7 +1215,7 @@ def test_synth_json_golden_output(tmp_path, capsys, monkeypatch):
 # score tables and rankings shared one CSV reader
 GOLDEN_MATRIX = {
     "roi-sim": """\
-# config: {"command": "roi-sim", "mode": "paired", "pairs": 256, "seed": 42, \
+# config: {"command": "roi-sim", "mode": "paired", "seed": 42, \
 "source": "pool/synth-00-s0.00", "target": "pool/synth-05-s1.00"}
 roi_sim,-0.028465
 n_pairs,16
@@ -1198,7 +1227,6 @@ target,synth-05-s1.00
   "config": {
     "command": "roi-sim",
     "mode": "mean",
-    "pairs": 256,
     "seed": 42,
     "source": "pool/synth-00-s0.00",
     "target": "pool/synth-05-s1.00"

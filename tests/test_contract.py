@@ -20,11 +20,18 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xfersel.bundle import write_bundle
+from xfersel.bundle import (
+    FEATURES_MAGIC,
+    LABELS_MAGIC,
+    _write_array,
+    load_bundle,
+    write_bundle,
+)
 from xfersel.cli import main
 from xfersel.ranking import build_ranking, ranking_to_csv
 from xfersel.synth import SynthSpec, generate_tasks
@@ -65,7 +72,7 @@ def case(pool):
 
 def assert_contract(tmp, argv):
     """Run the CLI in ``tmp``, where ``pool/...`` and ``*.csv`` arguments
-    live, and check the exit status and stderr."""
+    live, check the exit status and stderr, and return the status."""
     argv = [str(tmp / a) if a.startswith("pool") or a.endswith(".csv")
             else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -78,6 +85,7 @@ def assert_contract(tmp, argv):
         assert err == "", (argv, err)
     else:
         assert ERROR_LINE.fullmatch(err), (argv, err)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +241,33 @@ def test_damaged_binary(pool, name, edits, argv):
         assert_contract(tmp, argv)
 
 
+# (n_samples, height, width, channels) of a bundle cut from the pool's first
+DEGENERATE = {"no-samples": (0, 8, 8, 2), "no-rows": (4, 0, 8, 2),
+              "no-columns": (4, 8, 0, 2), "no-channels": (4, 8, 8, 0),
+              "one-sample": (1, 8, 8, 2)}
+
+
+@pytest.mark.parametrize("argv", BUNDLE_COMMANDS, ids=[
+    "roi-sim", "score-hscore", "score-otce", "select-guided-otce",
+    "select-baseline-hscore", "synth-eval-hscore"])
+@pytest.mark.parametrize("dims", DEGENERATE.values(), ids=DEGENERATE)
+def test_degenerate_shapes(pool, dims, argv):
+    # the manifest and both payloads agree, so each load reaches the shape
+    # checks; an empty set is named, one sample is scored or named
+    n, h, w, c = dims
+    with case(pool) as tmp:
+        path = tmp / "pool" / POOL_IDS[0]
+        bundle = load_bundle(path)
+        _write_array(path / "labels.bin", LABELS_MAGIC,
+                     bundle.labels.masks[:n, :h, :w], np.uint8)
+        _write_array(path / "features.bin", FEATURES_MAGIC,
+                     bundle.features.features[:n, :h, :w, :c], np.float32)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest.update(n_samples=n, height=h, width=w, channels=c)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        assert assert_contract(tmp, argv) in (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # CSV files and synth specs
 # ---------------------------------------------------------------------------
@@ -305,7 +340,7 @@ def command(argv, required=None, **optional):
 flag_commands = st.one_of(
     command(["roi-sim", "--source", "pool/" + POOL_IDS[0],
              "--target", "pool/" + POOL_IDS[1]],
-            pairs=COUNT, mode=flag(["paired", "mean"], ["x"])),
+            mode=flag(["paired", "mean"], ["x"])),
     *[command(["score", "--metric", m, "--source", "pool/" + POOL_IDS[0],
                "--target", "pool/" + POOL_IDS[2]],
               max_pixels=MAX_PIXELS, epsilon=EPSILON, ridge=RIDGE)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xfersel.rng import subsample_indices, word
 
@@ -28,6 +30,15 @@ def test_subsample_matches_reference_at_seed_edges(seed):
     for n, k in ((2, 1), (37, 36), (1000, 999), (5000, 17)):
         assert subsample_indices(n, k, seed) == \
             subsample_reference(n, k, seed)
+
+
+@given(nk=st.integers(0, 5000).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       seed=st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_subsample_matches_reference_property(nk, seed):
+    n, k = nk
+    assert subsample_indices(n, k, seed) == subsample_reference(n, k, seed)
 
 
 def test_sparse_reference_agrees_with_list_reference():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xfersel.roisim
 from xfersel.bundle import LabelMaskSet
 from xfersel.errors import EmptyImageError, ShapeMismatchError
 from xfersel.roisim import (
@@ -150,12 +151,13 @@ class TestRoiSim:
         assert roi_sim(a, b, mode=PairingMode.MEAN).score == \
             roi_sim(b, a, mode=PairingMode.MEAN).score
 
-    def test_paired_mode_deterministic_and_capped(self):
+    def test_paired_mode_deterministic_and_capped(self, monkeypatch):
+        monkeypatch.setattr(xfersel.roisim, "DEFAULT_MAX_PAIRS", 3)
         rng = np.random.Generator(np.random.Philox(7))
         a = mask_set("a", rng.integers(0, 2, (9, 8, 8)))
         b = mask_set("b", rng.integers(0, 2, (5, 8, 8)))
-        r1 = roi_sim(a, b, seed=11, max_pairs=3)
-        r2 = roi_sim(a, b, seed=11, max_pairs=3)
+        r1 = roi_sim(a, b, seed=11)
+        r2 = roi_sim(a, b, seed=11)
         assert r1.score == r2.score
         assert r1.n_pairs == 3
 
